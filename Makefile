@@ -58,8 +58,9 @@ fmt-check:
 
 # fuzz-smoke runs each fuzz target briefly; `go test -fuzz` accepts exactly
 # one target per invocation, hence the loop. Entries are pkg:Target pairs:
-# the wire codec (frame/request/response/batch parsers) plus the generated
-# payload codec round trip in gentest.
+# the wire codec (frame/request/response/batch parsers), the generated
+# payload codec round trip in gentest, the WAL replay, and the kvstore
+# replication codec (what a backup decodes off its port on every write).
 FUZZ_TARGETS := \
 	./internal/transport/:FuzzReadFrame \
 	./internal/transport/:FuzzParseRequest \
@@ -67,7 +68,8 @@ FUZZ_TARGETS := \
 	./internal/transport/:FuzzParseBatch \
 	./internal/transport/:FuzzEventFrame \
 	./internal/gen/gentest/:FuzzCodecRoundTrip \
-	./internal/wal/:FuzzWALReplay
+	./internal/wal/:FuzzWALReplay \
+	./internal/kvstore/:FuzzReplReq
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -283,7 +283,7 @@ func (v *Status) consumeERMI(b []byte) ([]byte, error) {
 		b = rest
 		v.ByVenue = nil
 		if cnt > 0 {
-			v.ByVenue = make(map[string]int64, cnt)
+			m1 := make(map[string]int64, cnt)
 			for i1 := 0; i1 < cnt; i1++ {
 				var k1 string
 				var e1 int64
@@ -301,8 +301,9 @@ func (v *Status) consumeERMI(b []byte) ([]byte, error) {
 					}
 					e1, b = int64(x), rest
 				}
-				v.ByVenue[k1] = e1
+				m1[k1] = e1
 			}
+			v.ByVenue = m1
 		}
 	}
 	return b, nil

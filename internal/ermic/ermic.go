@@ -12,6 +12,8 @@
 //   - bool:              one byte, 0 or 1
 //   - string, []byte:    uvarint length prefix + raw bytes
 //   - slices, maps:      uvarint element count + elements
+//   - time.Time:         zero flag byte, then (unless zero) the instant as
+//     zigzag unix-nanoseconds
 //
 // Every Consume helper is total on arbitrary input: truncated or hostile
 // bytes return ErrMalformed, never panic, and never allocate proportionally
@@ -23,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"time"
 )
 
 // ErrMalformed is returned for any input a generated codec cannot decode:
@@ -167,4 +170,61 @@ func ConsumeCount(b []byte) (int, []byte, error) {
 		return 0, nil, ErrMalformed
 	}
 	return int(n), rest, nil
+}
+
+// Time bounds: the instants whose unix-nanosecond count fits an int64
+// (1677-09-21 to 2262-04-11 UTC). AppendTime saturates to them.
+var (
+	minTime = time.Unix(0, math.MinInt64)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
+// SizeTime returns the encoded size of t.
+func SizeTime(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + SizeVarint(unixNanos(t))
+}
+
+// AppendTime appends t as a zero flag and, for a non-zero t, its zigzag
+// unix-nanoseconds. The flag is explicit because a simulated clock can put
+// a real instant at UnixNano 0. Location and monotonic reading are not
+// carried, and an instant outside the int64 nanosecond range (where
+// UnixNano is undefined) is clamped to the nearest bound. The WAL's lock
+// records and the wire codec share this encoding.
+func AppendTime(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(b, 1)
+	}
+	b = append(b, 0)
+	return AppendVarint(b, unixNanos(t))
+}
+
+// ConsumeTime consumes a time encoded by AppendTime. Non-zero instants
+// decode in the local location, as time.Unix returns them.
+func ConsumeTime(b []byte) (time.Time, []byte, error) {
+	zero, b, err := ConsumeBool(b)
+	if err != nil {
+		return time.Time{}, nil, err
+	}
+	if zero {
+		return time.Time{}, b, nil
+	}
+	ns, b, err := ConsumeVarint(b)
+	if err != nil {
+		return time.Time{}, nil, err
+	}
+	return time.Unix(0, ns), b, nil
+}
+
+// unixNanos is t.UnixNano clamped to the representable range.
+func unixNanos(t time.Time) int64 {
+	switch {
+	case t.Before(minTime):
+		return math.MinInt64
+	case t.After(maxTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
 }

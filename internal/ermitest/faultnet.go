@@ -2,6 +2,7 @@ package ermitest
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -194,6 +195,87 @@ func ServeFaulty(t testing.TB, handler transport.Handler, f *Fault) *transport.S
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// Relay is a TCP relay in front of one server whose two directions fail
+// independently: bytes from the server to a client pass through Down's
+// knobs, bytes from a client to the server flow untouched. It models a
+// client whose inbound path stalls — a frozen reader, a one-way partition —
+// while its own requests still arrive, the interleaving a lease protocol
+// must survive.
+type Relay struct {
+	Down *Fault
+
+	lis    net.Listener
+	target string
+	mu     sync.Mutex
+	conns  []net.Conn
+	closed bool
+}
+
+// StartRelay listens on a loopback port and relays every accepted
+// connection to target, with cleanup.
+func StartRelay(t testing.TB, target string, down *Fault) *Relay {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ermitest: relay listen: %v", err)
+	}
+	r := &Relay{Down: down, lis: lis, target: target}
+	go r.accept()
+	t.Cleanup(r.Close)
+	return r
+}
+
+// Addr is the address clients dial instead of the target's.
+func (r *Relay) Addr() string { return r.lis.Addr().String() }
+
+func (r *Relay) accept() {
+	for {
+		client, err := r.lis.Accept()
+		if err != nil {
+			return
+		}
+		server, err := net.Dial("tcp", r.target)
+		if err != nil {
+			client.Close()
+			continue
+		}
+		r.mu.Lock()
+		if r.closed {
+			r.mu.Unlock()
+			client.Close()
+			server.Close()
+			return
+		}
+		// The client side is closed through its fault wrapper, which also
+		// releases a write stalled in a partition.
+		down := WrapConn(client, r.Down)
+		r.conns = append(r.conns, down, server)
+		r.mu.Unlock()
+		sever := func() { down.Close(); server.Close() }
+		go pipe(server, client, sever)
+		go pipe(down, server, sever)
+	}
+}
+
+// pipe copies src to dst until either side fails, then severs the pair.
+func pipe(dst io.Writer, src io.Reader, sever func()) {
+	_, _ = io.CopyBuffer(dst, src, make([]byte, 32<<10))
+	sever()
+}
+
+// Close stops the relay and severs every relayed connection.
+func (r *Relay) Close() {
+	r.mu.Lock()
+	r.closed = true
+	conns := r.conns
+	r.conns = nil
+	r.mu.Unlock()
+	r.lis.Close()
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // DialServer connects a transport client to srv with cleanup.

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"elasticrmi/internal/ermitest"
 	"elasticrmi/internal/kvstore"
+	"elasticrmi/internal/simclock"
 )
 
 // TestKVSessionsNoStaleReadsAcrossCrash is the session-cache chaos
@@ -192,4 +194,112 @@ func TestKVSessionsNoStaleReadsAcrossCrash(t *testing.T) {
 	}
 	t.Logf("session chaos summary: %d reads (%d hits, %d misses, %d invalidations), %d live sessions",
 		totalReads.Load(), agg.Hits, agg.Misses, agg.Invalidations, agg.LiveSessions)
+}
+
+// TestKVSessionAckAtLeaseDeadlineBeforeEventApplied drives the one window
+// in which a write is acknowledged while its invalidation has not reached
+// the caching client: the client's inbound path stalls (events and replies
+// held in a one-way partition) while its requests — a keepalive among them —
+// still reach the server. The write parks until the lease deadline it
+// captured, then is acknowledged with the event still undelivered. The
+// contract under test: from that acknowledgment on, the client serves no
+// cached copy of the old value, because its own lease — anchored at its
+// keepalive's send time on its own clock, and extended past the deadline
+// only once the event is applied — has already ended. Time is simulated,
+// so the deadline, the keepalive and the lease ends are exact.
+func TestKVSessionAckAtLeaseDeadlineBeforeEventApplied(t *testing.T) {
+	sim := simclock.NewSim(time.Unix(1000, 0))
+	srv, err := kvstore.NewServer("127.0.0.1:0", sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const ttl = kvstore.DefaultSessionTTL
+	cli, err := kvstore.NewClient(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	relay := ermitest.StartRelay(t, srv.Addr(), ermitest.NewFault())
+	sess, err := kvstore.NewSession(relay.Addr(), kvstore.SessionOptions{Clock: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	if _, err := cli.Put("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if v, err := sess.Get("k"); err != nil || string(v.Value) != "v1" {
+			t.Fatalf("Get = %q, %v", v.Value, err)
+		}
+	}
+	if hits := sess.Stats().Hits; hits != 1 {
+		t.Fatalf("second read was not a cache hit (%d hits)", hits)
+	}
+
+	relay.Down.Partition(true)
+	keepalives := sim.Pending() // the client's keepalive timer
+	acked := make(chan error, 1)
+	go func() {
+		_, err := cli.Put("k", []byte("v2"))
+		acked <- err
+	}()
+	ermitest.WaitUntil(t, "the write to park on the session's lease deadline", 5*time.Second,
+		func() bool { return sim.Pending() == keepalives+1 })
+
+	// One keepalive fires and reaches the server (renewing the session
+	// there); its reply is stuck behind the undelivered event. Then run
+	// the clock to just short of the deadline: the write stays parked.
+	notAcked := func(when string) {
+		t.Helper()
+		select {
+		case err := <-acked:
+			t.Fatalf("write acknowledged %s (err %v)", when, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	sim.Advance(ttl / 3)
+	notAcked("a third of a lease before its deadline")
+	if v, err := sess.Get("k"); err != nil || string(v.Value) != "v1" {
+		// The write is not acknowledged yet: serving v1 is still correct.
+		t.Fatalf("Get before the ack = %q, %v; want the cached v1", v.Value, err)
+	}
+	sim.Advance(ttl - ttl/3 - time.Millisecond)
+	notAcked("a millisecond before the lease deadline")
+
+	// Reach the deadline: the write is acknowledged, event still stalled.
+	sim.Advance(time.Millisecond)
+	select {
+	case err := <-acked:
+		if err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write still parked past its lease deadline")
+	}
+	hits := sess.Stats().Hits
+	got := make(chan string, 1)
+	go func() {
+		v, err := sess.Get("k")
+		if err != nil {
+			got <- "error: " + err.Error()
+			return
+		}
+		got <- string(v.Value)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	relay.Down.Partition(false)
+	select {
+	case v := <-got:
+		if v == "v1" {
+			t.Fatal("stale read: the cache served v1 after the write of v2 was acknowledged")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read after the ack never completed")
+	}
+	if h := sess.Stats().Hits; h != hits {
+		t.Fatalf("%d cache hits served after the ack", h-hits)
+	}
 }

@@ -11,10 +11,12 @@ package gen
 // The supported field shapes are the ones remote payloads actually use:
 // fixed-width integers (zigzag varints on the wire), floats, bools, strings
 // (copied on decode — they outlive the frame), []byte (zero-copy views),
-// time.Duration, locally-declared named scalar types, nested annotated
+// time.Duration, time.Time (a zero flag plus unix-nanoseconds, the
+// encoding the kvstore WAL uses too; location and monotonic reading are
+// not carried), locally-declared named scalar types, nested annotated
 // structs, and slices/maps of any of those. Pointers, interfaces, channels,
-// fixed arrays and foreign struct types (time.Time included) are rejected:
-// such types keep the gob fallback.
+// fixed arrays and other foreign types are rejected: such types keep the
+// gob fallback.
 
 import (
 	"fmt"
@@ -36,6 +38,7 @@ const (
 	wireFloat64          // fixed 8 bytes
 	wireString           // length prefix + bytes, copied on decode
 	wireBytes            // length prefix + bytes, zero-copy view on decode
+	wireTime             // zero flag + zigzag unix-nanos (ermic.AppendTime)
 	wireStruct           // nested annotated struct
 	wireSlice            // count + elements
 	wireMap              // count + key/value pairs
@@ -213,8 +216,13 @@ func (r *codecResolver) resolve(e ast.Expr) (*wireType, error) {
 		}
 		return &wireType{kind: k, goType: t.Name}, nil
 	case *ast.SelectorExpr:
-		if base, ok := t.X.(*ast.Ident); ok && base.Name == "time" && t.Sel.Name == "Duration" {
-			return &wireType{kind: wireInt, goType: "time.Duration"}, nil
+		if base, ok := t.X.(*ast.Ident); ok && base.Name == "time" {
+			switch t.Sel.Name {
+			case "Duration":
+				return &wireType{kind: wireInt, goType: "time.Duration"}, nil
+			case "Time":
+				return &wireType{kind: wireTime, goType: "time.Time"}, nil
+			}
 		}
 		return nil, fmt.Errorf("foreign type %s is not supported (gob fallback applies)", exprString(t))
 	case *ast.ArrayType:
@@ -235,7 +243,7 @@ func (r *codecResolver) resolve(e ast.Expr) (*wireType, error) {
 			return nil, err
 		}
 		switch key.kind {
-		case wireSlice, wireMap, wireBytes, wireStruct:
+		case wireSlice, wireMap, wireBytes, wireStruct, wireTime:
 			return nil, fmt.Errorf("map key type %s is not comparable-scalar", key.goType)
 		}
 		val, err := r.resolve(t.Value)
@@ -262,16 +270,15 @@ func exprString(e ast.Expr) string {
 	}
 }
 
-// usesDuration reports whether any codec field (recursively) names
-// time.Duration, so the generated file imports "time" only when needed.
-func usesDuration(codecs []Codec) bool {
+// usesTime reports whether any codec field (recursively) names a type of
+// package time, so the generated file imports "time" only when needed.
+func usesTime(codecs []Codec) bool {
 	var walk func(*wireType) bool
 	walk = func(wt *wireType) bool {
 		if wt == nil {
 			return false
 		}
-		return wt.goType == "time.Duration" || strings.Contains(wt.goType, "time.Duration") ||
-			walk(wt.elem) || walk(wt.key) || walk(wt.val)
+		return strings.Contains(wt.goType, "time.") || walk(wt.elem) || walk(wt.key) || walk(wt.val)
 	}
 	for _, c := range codecs {
 		for _, f := range c.fields {
@@ -359,6 +366,8 @@ func (e *codecEmitter) size(expr string, wt *wireType, depth int) {
 		e.pf(depth, "n += 8")
 	case wireString, wireBytes:
 		e.pf(depth, "n += ermic.SizeBytes(len(%s))", expr)
+	case wireTime:
+		e.pf(depth, "n += ermic.SizeTime(%s)", expr)
 	case wireStruct:
 		e.pf(depth, "n += %s.SizeERMI()", expr)
 	case wireSlice:
@@ -427,6 +436,8 @@ func (e *codecEmitter) marshal(expr string, wt *wireType, depth int) {
 		e.pf(depth, "b = ermic.AppendString(b, string(%s))", expr)
 	case wireBytes:
 		e.pf(depth, "b = ermic.AppendBytes(b, %s)", expr)
+	case wireTime:
+		e.pf(depth, "b = ermic.AppendTime(b, %s)", expr)
 	case wireStruct:
 		e.pf(depth, "b = %s.MarshalERMI(b)", expr)
 	case wireSlice:
@@ -473,6 +484,8 @@ func (e *codecEmitter) consume(expr string, wt *wireType, depth int) {
 		scalar("ConsumeFloat64")
 	case wireString:
 		scalar("ConsumeString")
+	case wireTime:
+		scalar("ConsumeTime")
 	case wireBytes:
 		e.pf(depth, "{")
 		e.pf(depth+1, "x, rest, err := ermic.ConsumeBytesView(b)")
@@ -509,6 +522,7 @@ func (e *codecEmitter) consume(expr string, wt *wireType, depth int) {
 		i := fmt.Sprintf("i%d", depth)
 		k := fmt.Sprintf("k%d", depth)
 		ev := fmt.Sprintf("e%d", depth)
+		m := fmt.Sprintf("m%d", depth)
 		e.pf(depth, "{")
 		e.pf(depth+1, "cnt, rest, err := ermic.ConsumeCount(b)")
 		e.pf(depth+1, "if err != nil {")
@@ -517,14 +531,18 @@ func (e *codecEmitter) consume(expr string, wt *wireType, depth int) {
 		e.pf(depth+1, "b = rest")
 		e.pf(depth+1, "%s = nil", expr)
 		e.pf(depth+1, "if cnt > 0 {")
-		e.pf(depth+2, "%s = make(%s, cnt)", expr, wt.goType)
+		// The map is filled through a local and assigned whole: the
+		// decoded value under construction is not long-lived storage, and
+		// a store through the receiver would read as one (codecstrict).
+		e.pf(depth+2, "%s := make(%s, cnt)", m, wt.goType)
 		e.pf(depth+2, "for %s := 0; %s < cnt; %s++ {", i, i, i)
 		e.pf(depth+3, "var %s %s", k, wt.key.goType)
 		e.pf(depth+3, "var %s %s", ev, wt.val.goType)
 		e.consume(k, wt.key, depth+3)
 		e.consume(ev, wt.val, depth+3)
-		e.pf(depth+3, "%s[%s] = %s", expr, k, ev)
+		e.pf(depth+3, "%s[%s] = %s", m, k, ev)
 		e.pf(depth+2, "}")
+		e.pf(depth+2, "%s = %s", expr, m)
 		e.pf(depth+1, "}")
 		e.pf(depth, "}")
 	}

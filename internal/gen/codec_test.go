@@ -96,7 +96,13 @@ type T struct{ U }
 type U struct{ N int }`},
 		{"foreign struct", `package p
 //ermi:codec
-type T struct{ At time.Time }`},
+type T struct{ Mu sync.Mutex }`},
+		{"foreign time type", `package p
+//ermi:codec
+type T struct{ Loc time.Location }`},
+		{"time map key", `package p
+//ermi:codec
+type T struct{ M map[time.Time]int }`},
 		{"fixed array", `package p
 //ermi:codec
 type T struct{ Sum [32]byte }`},
@@ -217,5 +223,46 @@ func TestGenerateCodecsCompilesAndIsDeterministic(t *testing.T) {
 	}
 	if string(out) != string(again) {
 		t.Fatal("codec generation is not deterministic")
+	}
+}
+
+// TestCodecTimeFields: time.Time resolves (bare, in slices, as map values)
+// to the shared ermic time encoding, and its presence alone pulls in the
+// "time" import.
+func TestCodecTimeFields(t *testing.T) {
+	f, err := Parse("lease.go", []byte(`package p
+
+//ermi:codec
+type Lease struct {
+	Owner   string
+	Expires time.Time
+	History []time.Time
+	ByName  map[string]time.Time
+}
+`))
+	if err != nil {
+		t.Fatalf("Parse rejected time.Time fields: %v", err)
+	}
+	if len(f.Codecs) != 1 || f.Codecs[0].Viewy {
+		t.Fatalf("codecs = %+v, want one non-viewy Lease", f.Codecs)
+	}
+	out, err := Generate(f, "lease.go")
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	src := string(out)
+	for _, want := range []string{
+		"n += ermic.SizeTime(v.Expires)",
+		"b = ermic.AppendTime(b, v.Expires)",
+		"x, rest, err := ermic.ConsumeTime(b)",
+		"v.Expires, b = time.Time(x), rest",
+		`"time"`,
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("generated code missing %q", want)
+		}
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), "gen.go", out, 0); err != nil {
+		t.Fatalf("generated code does not parse: %v\n%s", err, src)
 	}
 }

@@ -397,7 +397,7 @@ func Generate(f *File, sourceName string) ([]byte, error) {
 	}
 	if len(f.Codecs) > 0 {
 		imports = append(imports, "elasticrmi/internal/ermic")
-		if usesDuration(f.Codecs) {
+		if usesTime(f.Codecs) {
 			imports = append(imports, "time")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
+	"time"
 
 	"elasticrmi/internal/transport"
 )
@@ -66,6 +67,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			first = blob[0]
 		}
 		codecRoundTrip(t, &BlobReply{Len: int64(len(blob)), First: first})
+		leaseRoundTrip(t, &LeaseInfo{
+			Owner:   key,
+			Expires: time.Unix(0, n),
+			Renewed: []time.Time{{}, time.Unix(0, ^n)},
+			ByNode:  map[string]time.Time{val: time.Unix(n>>32, 0)},
+		})
 
 		// BlobArgs decodes Data as a zero-copy view, so nil/empty identity is
 		// not preserved — compare contents and assert the view really does
@@ -93,9 +100,58 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Hostile input: arbitrary bytes must decode or error, never panic.
 		for _, u := range []transport.Unmarshaler{
 			&BumpArgs{}, &BumpReply{}, &PeekArgs{}, &TagArgs{},
-			&TagReply{}, &BlobArgs{}, &BlobReply{},
+			&TagReply{}, &BlobArgs{}, &BlobReply{}, &LeaseInfo{},
 		} {
 			_ = u.UnmarshalERMI(hostile)
 		}
 	})
+}
+
+// leaseRoundTrip is codecRoundTrip for the time-bearing fixture. Decoded
+// instants are equal to the originals as instants (time.Equal), not field
+// for field: the codec carries neither location nor monotonic reading, so
+// reflect.DeepEqual and the gob baseline do not apply.
+func leaseRoundTrip(t *testing.T, orig *LeaseInfo) {
+	t.Helper()
+	out := orig.MarshalERMI(make([]byte, 0, orig.SizeERMI()))
+	if len(out) != orig.SizeERMI() {
+		t.Fatalf("LeaseInfo: SizeERMI = %d but MarshalERMI produced %d bytes", orig.SizeERMI(), len(out))
+	}
+	var got LeaseInfo
+	if err := got.UnmarshalERMI(out); err != nil {
+		t.Fatalf("LeaseInfo: UnmarshalERMI of own encoding: %v", err)
+	}
+	same := func(a, b time.Time) bool { return a.IsZero() == b.IsZero() && a.Equal(b) }
+	ok := got.Owner == orig.Owner && same(got.Expires, orig.Expires) &&
+		len(got.Renewed) == len(orig.Renewed) && len(got.ByNode) == len(orig.ByNode)
+	for i := 0; ok && i < len(orig.Renewed); i++ {
+		ok = same(got.Renewed[i], orig.Renewed[i])
+	}
+	for k, v := range orig.ByNode {
+		ok = ok && same(got.ByNode[k], v)
+	}
+	if !ok {
+		t.Fatalf("LeaseInfo round trip mismatch:\n got %+v\nwant %+v", got, *orig)
+	}
+}
+
+// TestTimeRoundTrip pins the time.Time edge cases through a generated
+// codec: the zero time, the instant a simulated clock starts at (UnixNano
+// 0, which must not decode as zero), and negative and far-future instants.
+func TestTimeRoundTrip(t *testing.T) {
+	for _, at := range []time.Time{
+		{},
+		time.Unix(0, 0),
+		time.Unix(-1, 0),
+		time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2262, 4, 11, 0, 0, 0, 0, time.UTC),
+		time.Now(),
+	} {
+		leaseRoundTrip(t, &LeaseInfo{
+			Owner:   "o",
+			Expires: at,
+			Renewed: []time.Time{at, {}},
+			ByNode:  map[string]time.Time{"n": at},
+		})
+	}
 }

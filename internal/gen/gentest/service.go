@@ -9,6 +9,7 @@ package gentest
 
 import (
 	"sync/atomic"
+	"time"
 
 	"elasticrmi/internal/core"
 )
@@ -38,6 +39,14 @@ type (
 	BlobReply struct {
 		Len   int64
 		First byte
+	}
+	// LeaseInfo exercises the time.Time wire shape: bare, in a slice and
+	// as a map value.
+	LeaseInfo struct {
+		Owner   string
+		Expires time.Time
+		Renewed []time.Time
+		ByNode  map[string]time.Time
 	}
 )
 

@@ -10,6 +10,7 @@ import (
 	"elasticrmi/internal/core"
 	"elasticrmi/internal/ermic"
 	"elasticrmi/internal/transport"
+	"time"
 )
 
 // CounterStub is the generated client stub for Counter: the client's
@@ -444,6 +445,125 @@ func (v *BlobReply) consumeERMI(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		v.First, b = byte(x), rest
+	}
+	return b, nil
+}
+
+// SizeERMI returns the exact encoded size of v (transport.Marshaler).
+func (v *LeaseInfo) SizeERMI() int {
+	n := 0
+	n += ermic.SizeBytes(len(v.Owner))
+	n += ermic.SizeTime(v.Expires)
+	n += ermic.SizeUvarint(uint64(len(v.Renewed)))
+	for i1 := range v.Renewed {
+		n += ermic.SizeTime(v.Renewed[i1])
+	}
+	n += ermic.SizeUvarint(uint64(len(v.ByNode)))
+	for k1 := range v.ByNode {
+		n += ermic.SizeBytes(len(k1))
+		e1 := v.ByNode[k1]
+		n += ermic.SizeTime(e1)
+	}
+	return n
+}
+
+// MarshalERMI appends v's encoding to b (transport.Marshaler).
+func (v *LeaseInfo) MarshalERMI(b []byte) []byte {
+	b = ermic.AppendString(b, string(v.Owner))
+	b = ermic.AppendTime(b, v.Expires)
+	b = ermic.AppendUvarint(b, uint64(len(v.Renewed)))
+	for i1 := range v.Renewed {
+		b = ermic.AppendTime(b, v.Renewed[i1])
+	}
+	b = ermic.AppendUvarint(b, uint64(len(v.ByNode)))
+	for k1 := range v.ByNode {
+		e1 := v.ByNode[k1]
+		b = ermic.AppendString(b, string(k1))
+		b = ermic.AppendTime(b, e1)
+	}
+	return b
+}
+
+// UnmarshalERMI decodes an encoding produced by MarshalERMI
+// (transport.Unmarshaler). It is total on arbitrary input.
+func (v *LeaseInfo) UnmarshalERMI(b []byte) error {
+	rest, err := v.consumeERMI(b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return ermic.ErrMalformed
+	}
+	return nil
+}
+
+// consumeERMI decodes v from the front of b, returning the remainder
+// (shared by UnmarshalERMI and codecs that nest LeaseInfo).
+func (v *LeaseInfo) consumeERMI(b []byte) ([]byte, error) {
+	{
+		x, rest, err := ermic.ConsumeString(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Owner, b = string(x), rest
+	}
+	{
+		x, rest, err := ermic.ConsumeTime(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Expires, b = time.Time(x), rest
+	}
+	{
+		cnt, rest, err := ermic.ConsumeCount(b)
+		if err != nil {
+			return nil, err
+		}
+		b = rest
+		v.Renewed = nil
+		if cnt > 0 {
+			v.Renewed = make([]time.Time, cnt)
+			for i1 := 0; i1 < cnt; i1++ {
+				{
+					x, rest, err := ermic.ConsumeTime(b)
+					if err != nil {
+						return nil, err
+					}
+					v.Renewed[i1], b = time.Time(x), rest
+				}
+			}
+		}
+	}
+	{
+		cnt, rest, err := ermic.ConsumeCount(b)
+		if err != nil {
+			return nil, err
+		}
+		b = rest
+		v.ByNode = nil
+		if cnt > 0 {
+			m1 := make(map[string]time.Time, cnt)
+			for i1 := 0; i1 < cnt; i1++ {
+				var k1 string
+				var e1 time.Time
+				{
+					x, rest, err := ermic.ConsumeString(b)
+					if err != nil {
+						return nil, err
+					}
+					k1, b = string(x), rest
+				}
+				{
+					x, rest, err := ermic.ConsumeTime(b)
+					if err != nil {
+						return nil, err
+					}
+					e1, b = time.Time(x), rest
+				}
+				m1[k1] = e1
+			}
+			v.ByNode = m1
+		}
 	}
 	return b, nil
 }

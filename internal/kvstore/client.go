@@ -195,7 +195,7 @@ func (c *Client) Unlock(name, owner string) error {
 // Export snapshots entries with the prefix (used by shard migration).
 func (c *Client) Export(prefix string) (map[string]Versioned, error) {
 	var rep exportReply
-	if err := c.call("Export", exportReq{Prefix: prefix}, &rep); err != nil {
+	if err := c.call("Export", &exportReq{Prefix: prefix}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Entries, nil
@@ -204,7 +204,7 @@ func (c *Client) Export(prefix string) (map[string]Versioned, error) {
 // Import installs entries preserving versions (used by shard migration).
 func (c *Client) Import(entries map[string]Versioned) error {
 	var rep importReply
-	return c.call("Import", importReq{Entries: entries}, &rep)
+	return c.call("Import", &importReq{Entries: entries}, &rep)
 }
 
 // ExportLocks snapshots unexpired lock leases with the prefix (owner,
@@ -212,7 +212,7 @@ func (c *Client) Import(entries map[string]Versioned) error {
 // Export, used by shard migration.
 func (c *Client) ExportLocks(prefix string) (map[string]LockInfo, error) {
 	var rep exportLocksReply
-	if err := c.call("ExportLocks", exportLocksReq{Prefix: prefix}, &rep); err != nil {
+	if err := c.call("ExportLocks", &exportLocksReq{Prefix: prefix}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Locks, nil
@@ -221,21 +221,30 @@ func (c *Client) ExportLocks(prefix string) (map[string]LockInfo, error) {
 // ImportLocks installs lock leases (used by shard migration).
 func (c *Client) ImportLocks(locks map[string]LockInfo) error {
 	var rep importLocksReply
-	return c.call("ImportLocks", importLocksReq{Locks: locks}, &rep)
+	return c.call("ImportLocks", &importLocksReq{Locks: locks}, &rep)
 }
 
-// replicate forwards one write's resulting state to a backup. It uses a
-// timeout much shorter than ordinary calls so a hung backup costs the
-// primary one bounded stall, not one per acknowledged write.
+// replicate sends one replication message and waits for it (rebalance
+// cleanup), bounded by replicateTimeout like the write path's forwards.
 func (c *Client) replicate(r replReq) error {
 	c.mu.Lock()
 	conn := c.conn
 	c.mu.Unlock()
 	var rep replReply
-	if err := conn.CallDecode(ServiceName, "Replicate", r, &rep, replicateTimeout); err != nil {
+	if err := conn.CallDecode(ServiceName, "Replicate", &r, &rep, replicateTimeout); err != nil {
 		return unwireError(err)
 	}
 	return nil
+}
+
+// goReplicate starts forwarding one encoded write delta (a replReq) to a
+// backup and returns the call; the primary waits for it with
+// replicateTimeout. payload must stay valid until the call completes.
+func (c *Client) goReplicate(payload []byte) *transport.Call {
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	return conn.GoBudget(ServiceName, "Replicate", payload, replicateTimeout)
 }
 
 // Convenience typed accessors used by core.State (the preprocessor-

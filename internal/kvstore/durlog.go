@@ -2,7 +2,9 @@ package kvstore
 
 // Durability layer: every Store mutation appends a binary record to an
 // internal/wal log and returns only after the record is fsynced (group
-// committed when DurOptions.GroupCommit). Periodically the store writes a
+// committed when DurOptions.GroupCommit). The append and the wait are
+// separate steps (durAppend, durWait), so the replicated write path can
+// overlap the local fsync with the backup forward. Periodically the store writes a
 // compacted snapshot — the Export/ExportLocks image at a recorded log
 // position — and drops the covered log segments. See the package comment's
 // "Durability contract" section for the externally visible guarantees.
@@ -135,15 +137,24 @@ func (s *Store) Crash() error {
 	return d.log.Crash()
 }
 
-// durCommit appends the non-nil records and blocks until they are durable,
-// then triggers a snapshot if enough mutations accumulated. A closed log
-// (concurrent Crash/Close) is tolerated — the caller is past its ack point
-// or will never ack; any other log failure is fatal, because returning
-// would silently break the ack-implies-durable contract.
-func (s *Store) durCommit(recs ...[]byte) {
+// logPos is the log position a mutation's records end at: the mutation is
+// durable once the log has committed through it. Zero means nothing was
+// logged (an in-memory store, or a mutation that changed nothing).
+type logPos uint64
+
+// durAppend appends the non-nil records to the log and returns the position
+// durWait must reach before the mutation may be acknowledged. Appending is
+// cheap (the records are only buffered), so callers append while they still
+// hold whatever orders the mutation — the log then records mutations in
+// apply order — and wait after releasing it or while doing other work.
+// It also triggers a snapshot once enough mutations accumulated. A closed
+// log (concurrent Crash/Close) is tolerated — the caller is past its ack
+// point or will never ack; any other log failure is fatal, because
+// returning would silently break the ack-implies-durable contract.
+func (s *Store) durAppend(recs ...[]byte) logPos {
 	d := s.dur
 	if d == nil {
-		return
+		return 0
 	}
 	var last uint64
 	n := 0
@@ -154,24 +165,30 @@ func (s *Store) durCommit(recs ...[]byte) {
 		lsn, err := d.log.Append(rec)
 		if err != nil {
 			if errors.Is(err, wal.ErrClosed) {
-				return
+				return 0
 			}
 			panic(fmt.Sprintf("kvstore: wal append: %v", err))
 		}
 		last = lsn
 		n++
 	}
-	if n == 0 {
+	if n > 0 && d.sinceSnap.Add(uint64(n)) >= d.every {
+		s.maybeSnapshot()
+	}
+	return logPos(last)
+}
+
+// durWait blocks until the log is durable through p (group committed
+// when DurOptions.GroupCommit). Failure handling is durAppend's.
+func (s *Store) durWait(p logPos) {
+	if p == 0 {
 		return
 	}
-	if err := d.log.Commit(last); err != nil {
+	if err := s.dur.log.Commit(uint64(p)); err != nil {
 		if errors.Is(err, wal.ErrClosed) {
 			return
 		}
 		panic(fmt.Sprintf("kvstore: wal commit: %v", err))
-	}
-	if d.sinceSnap.Add(uint64(n)) >= d.every {
-		s.maybeSnapshot()
 	}
 }
 
@@ -237,31 +254,6 @@ func (s *Store) snapshotNow() error {
 
 // --- record and image encoding (internal/ermic primitives) ---
 
-func appendTime(b []byte, t time.Time) []byte {
-	// An explicit zero flag: with a simulated clock UnixNano can be 0 for
-	// a real instant, so the zero value needs its own bit.
-	b = ermic.AppendBool(b, t.IsZero())
-	if !t.IsZero() {
-		b = ermic.AppendVarint(b, t.UnixNano())
-	}
-	return b
-}
-
-func consumeTime(b []byte) (time.Time, []byte, error) {
-	zero, b, err := ermic.ConsumeBool(b)
-	if err != nil {
-		return time.Time{}, nil, err
-	}
-	if zero {
-		return time.Time{}, b, nil
-	}
-	ns, b, err := ermic.ConsumeVarint(b)
-	if err != nil {
-		return time.Time{}, nil, err
-	}
-	return time.Unix(0, ns), b, nil
-}
-
 // entryRecLocked encodes one data entry's post-state; nil when the store
 // is not durable. Caller holds s.mu.
 func (s *Store) entryRecLocked(key string, e entry) []byte {
@@ -286,7 +278,7 @@ func (s *Store) lockRecLocked(name string, st lockState) []byte {
 	b = ermic.AppendUvarint(b, durLock)
 	b = ermic.AppendString(b, name)
 	b = ermic.AppendString(b, st.owner)
-	b = appendTime(b, st.expires)
+	b = ermic.AppendTime(b, st.expires)
 	b = ermic.AppendUvarint(b, st.seq)
 	return b
 }
@@ -347,7 +339,7 @@ func (s *Store) applyRecord(rec []byte, now time.Time) error {
 		if err != nil {
 			return fmt.Errorf("kvstore: wal lock record: %w", err)
 		}
-		expires, rec, err := consumeTime(rec)
+		expires, rec, err := ermic.ConsumeTime(rec)
 		if err != nil {
 			return fmt.Errorf("kvstore: wal lock record: %w", err)
 		}
@@ -401,7 +393,7 @@ func (s *Store) encodeImage() []byte {
 	for name, info := range locks {
 		b = ermic.AppendString(b, name)
 		b = ermic.AppendString(b, info.Owner)
-		b = appendTime(b, info.Expires)
+		b = ermic.AppendTime(b, info.Expires)
 		b = ermic.AppendUvarint(b, info.Seq)
 	}
 	return b
@@ -454,7 +446,7 @@ func (s *Store) installImage(img []byte) error {
 			owner, img, err = ermic.ConsumeString(img)
 		}
 		if err == nil {
-			expires, img, err = consumeTime(img)
+			expires, img, err = ermic.ConsumeTime(img)
 		}
 		if err == nil {
 			seq, img, err = ermic.ConsumeUvarint(img)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"elasticrmi/internal/route"
 	"elasticrmi/internal/simclock"
 )
 
@@ -92,7 +93,7 @@ func TestDurRecoveryPreservesLocks(t *testing.T) {
 	if err := r.TryLock("held", "mallory", time.Second); !errors.Is(err, ErrLockHeld) {
 		t.Fatalf("intruder on recovered lease: %v, want ErrLockHeld", err)
 	}
-	info, ok := r.LockSnapshot("held")
+	info, ok := r.ExportLocks(nil)["held"]
 	if !ok || !info.Expires.Equal(start.Add(30*time.Second)) {
 		t.Fatalf("recovered expiry = %v, want %v", info.Expires, start.Add(30*time.Second))
 	}
@@ -427,5 +428,77 @@ func TestSnapshotStatsSurfacesBackgroundFailure(t *testing.T) {
 	// recreate files under the TempDir while the harness removes it.
 	for s.dur.snapping.Load() {
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDurR2AckedWritesSurvivePowerCut: the replicated write path overlaps
+// the primary's fsync with the backup forward, and acknowledges only once
+// both are durable. So after an acked Put, TryLock and AddInt64 at R=2, a
+// power cut of both replicas (buffered log records abandoned) must lose
+// none of them on either node: each recovers them alone from its own disk.
+// A handler that acked before its local durability wait (or before the
+// backup's reply) would leave the write only in a buffer the cut drops.
+func TestDurR2AckedWritesSurvivePowerCut(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir()}
+	var srvs []*Server
+	var tab route.Table
+	for i, dir := range dirs {
+		srv, err := NewServerDur("127.0.0.1:0", nil, DurOptions{Dir: dir, GroupCommit: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs = append(srvs, srv)
+		tab.Members = append(tab.Members, route.Member{Addr: srv.Addr(), UID: int64(i + 1), Weight: route.DefaultWeight})
+	}
+	for _, srv := range srvs {
+		srv.SetView(tab, 2)
+	}
+	// Route every operation to node 0 as its primary.
+	ring := route.BuildRing(tab)
+	pick := func(prefix string, routeKey func(string) string) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("%s%d", prefix, i); ring.Owner(routeKey(k)) == 0 {
+				return k
+			}
+		}
+	}
+	same := func(k string) string { return k }
+	key, counter, lock := pick("k", same), pick("n", same), pick("l", lockRouteKey)
+	cli, err := NewClient(srvs[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver, err := cli.Put(key, []byte("acked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.TryLock(lock, "owner", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.AddInt64(counter, 7); err != nil {
+		t.Fatal(err)
+	}
+	if fw, fails := srvs[0].ReplStats(); fw != 3 || fails != 0 {
+		t.Fatalf("ReplStats = %d forwards, %d failures; want 3, 0", fw, fails)
+	}
+	cli.Close()
+	for _, srv := range srvs {
+		if err := srv.Crash(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i, dir := range dirs {
+		r := mustStoreDur(t, nil, DurOptions{Dir: dir})
+		if got, err := r.Get(key); err != nil || string(got.Value) != "acked" || got.Version != ver {
+			t.Errorf("node %d recovered %s = %+v, %v; want the acked put (version %d)", i, key, got, err, ver)
+		}
+		if owner, held := r.LockOwner(lock); !held || owner != "owner" {
+			t.Errorf("node %d recovered lock %s held=%v by %q; want held by owner", i, lock, held, owner)
+		}
+		if got, err := r.Get(counter); err != nil || string(got.Value) != "7" {
+			t.Errorf("node %d recovered %s = %+v, %v; want 7", i, counter, got, err)
+		}
+		r.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +22,9 @@ const ServiceName = "kv"
 // Wire messages. Every op has a request and reply struct; errors travel as
 // string codes so clients can re-map them to the exported sentinel errors.
 //
-// The hot data-path messages are //ermi:codec-marked: Get/Put/Delete/CAS/
-// Add/Keys and the lock calls travel in the generated binary encoding, with
-// values ([]byte) decoding server-side as zero-copy views into the
-// transport frame.
+// Every message is //ermi:codec-marked and travels in the generated binary
+// encoding, with values ([]byte) decoding server-side as zero-copy views
+// into the transport frame; nothing in this package goes through gob.
 //
 //ermi:codec
 type (
@@ -66,9 +66,11 @@ type (
 	unlockReply struct{}
 )
 
-// Bulk migration/replication messages stay on the gob fallback: they carry
-// LockInfo (absolute time.Time expiries), which the binary codec does not
-// encode, and they are off the per-operation hot path.
+// Bulk migration and replication messages. They carry LockInfo, whose
+// absolute time.Time expiry the codec encodes as unix-nanoseconds. replReq
+// is on the per-write hot path: every replicated write sends one.
+//
+//ermi:codec
 type (
 	exportReq   struct{ Prefix string }
 	exportReply struct{ Entries map[string]Versioned }
@@ -150,9 +152,11 @@ func unwireError(err error) error {
 }
 
 // replStripes is the number of per-key ordering stripes. A stripe mutex is
-// held across local-apply + backup-forward of each write, so replication
-// deltas for one key reach a backup in apply order (two stripes never
-// conflict semantically — a collision just serializes two unrelated keys).
+// held across local apply, log append, backup forward and both durability
+// waits of each write, so the log records and the replication deltas of
+// one key are in apply order and a backup applies them in that order (two
+// stripes never conflict semantically — a collision just serializes two
+// unrelated keys).
 const replStripes = 64
 
 // replicateTimeout bounds one primary→backup forward. It is deliberately
@@ -169,17 +173,20 @@ type Server struct {
 	store    *Store
 	srv      *transport.Server
 	sessions *sessionMgr
+	self     string // listen address
 
-	viewMu   sync.Mutex
-	rf       int
-	ring     *route.Ring
-	members  []route.Member
-	links    map[string]*Client // replication clients by member addr
-	suspects map[string]bool    // backups that failed a forward; skipped until the next view
+	// view is the installed replication view. The write path and GetLease
+	// read it with one atomic load; installs publish a whole new view.
+	view atomic.Pointer[replView]
+	// viewMu serializes view installs against each other and against
+	// Close/Crash. No per-operation path takes it.
+	viewMu sync.Mutex
+	closed bool // under viewMu: no view may be installed any more
 
-	forwards    atomic.Uint64 // successful backup forwards
-	forwardErrs atomic.Uint64 // forwards lost to suspect/failed backups
-
+	// suspectMu guards the backups that failed a forward (skipped until the
+	// next view install) and the failure callback.
+	suspectMu sync.Mutex
+	suspects  map[string]bool
 	// onReplFailure, when set, is invoked (asynchronously, once per
 	// suspicion transition) with the address of a backup that failed a
 	// forward. The cluster router uses it to close the replication loop:
@@ -189,15 +196,27 @@ type Server struct {
 	// change.
 	onReplFailure func(addr string)
 
+	forwards    atomic.Uint64 // successful backup forwards
+	forwardErrs atomic.Uint64 // forwards lost to suspect/failed backups
+
 	stripes [replStripes]sync.Mutex
+}
+
+// replView is one installed cluster view. It is immutable once published:
+// an install (or the links dialed after it) swaps in a new one.
+type replView struct {
+	rf      int
+	ring    *route.Ring // nil without a multi-member view: this node owns all it holds
+	members []route.Member
+	links   map[string]*Client // replication clients by member addr
 }
 
 // OnReplFailure installs the replication-failure callback. Call before the
 // server participates in a replicated view.
 func (s *Server) OnReplFailure(fn func(addr string)) {
-	s.viewMu.Lock()
+	s.suspectMu.Lock()
 	s.onReplFailure = fn
-	s.viewMu.Unlock()
+	s.suspectMu.Unlock()
 }
 
 // NewServer starts an in-memory store server on addr (":0" for any free
@@ -210,17 +229,25 @@ func NewServer(addr string, clock simclock.Clock) (*Server, error) {
 // opts.Dir (recovering existing state there first); with opts.Dir == ""
 // it is NewServer.
 func NewServerDur(addr string, clock simclock.Clock, opts DurOptions) (*Server, error) {
+	return newServer(addr, clock, opts, transport.ServerOptions{})
+}
+
+// newServer is NewServerDur with transport tuning (tests shrink the worker
+// pool); the session control plane always rides the express lane.
+func newServer(addr string, clock simclock.Clock, opts DurOptions, topts transport.ServerOptions) (*Server, error) {
 	store, err := NewStoreDur(clock, opts)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore server: %w", err)
 	}
 	s := &Server{store: store, sessions: newSessionMgr(clock)}
-	srv, err := transport.ServeOpts(addr, s.handle, transport.ServerOptions{Express: sessionControlExpress})
+	topts.Express = sessionControlExpress
+	srv, err := transport.ServeOpts(addr, s.handle, topts)
 	if err != nil {
 		store.Close()
 		return nil, fmt.Errorf("kvstore server: %w", err)
 	}
 	s.srv = srv
+	s.self = srv.Addr()
 	return s, nil
 }
 
@@ -245,7 +272,7 @@ func sessionControlExpress(service, method string) bool {
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.srv.Addr() }
+func (s *Server) Addr() string { return s.self }
 
 // Store exposes the underlying engine (used in tests and by migration).
 func (s *Server) Store() *Store { return s.store }
@@ -255,18 +282,24 @@ func (s *Server) Store() *Store { return s.store }
 func (s *Server) Close() error {
 	err := s.srv.Close()
 	s.sessions.closeAll()
-	s.viewMu.Lock()
-	links := s.links
-	s.links = nil
-	s.ring = nil
-	s.viewMu.Unlock()
-	for _, cli := range links {
-		cli.Close()
-	}
+	s.dropView()
 	if cerr := s.store.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// dropView retires the replication view for good and closes its links.
+func (s *Server) dropView() {
+	s.viewMu.Lock()
+	s.closed = true
+	v := s.view.Swap(nil)
+	s.viewMu.Unlock()
+	if v != nil {
+		for _, cli := range v.links {
+			cli.Close()
+		}
+	}
 }
 
 // Crash kills the server as a power cut would: the transport dies first,
@@ -277,14 +310,7 @@ func (s *Server) Close() error {
 func (s *Server) Crash() error {
 	err := s.srv.Close()
 	s.sessions.closeAll()
-	s.viewMu.Lock()
-	links := s.links
-	s.links = nil
-	s.ring = nil
-	s.viewMu.Unlock()
-	for _, cli := range links {
-		cli.Close()
-	}
+	s.dropView()
 	if cerr := s.store.Crash(); err == nil {
 		err = cerr
 	}
@@ -318,39 +344,42 @@ func (s *Server) installView(t route.Table, rf int) {
 	if rf > 1 || len(t.Members) > 1 {
 		ring = route.BuildRing(t)
 	}
-	s.viewMu.Lock()
-	if s.links == nil {
-		s.links = make(map[string]*Client)
-	}
-	s.rf = rf
-	s.ring = ring
-	s.members = t.Members
-	s.suspects = make(map[string]bool)
-	// Drop links to departed members; collect the peers that still need a
-	// link. The dials themselves happen after the unlock: forward() takes
-	// viewMu to pick its targets on every replicated write, so one
-	// unreachable new member dialed under the lock would stall every write
-	// on the node for a full dial timeout.
-	current := make(map[string]bool, len(t.Members))
+	member := make(map[string]bool, len(t.Members))
 	for _, m := range t.Members {
-		current[m.Addr] = true
+		member[m.Addr] = true
 	}
+	s.viewMu.Lock()
+	if s.closed {
+		s.viewMu.Unlock()
+		return
+	}
+	// Keep the links to members that stay; collect the peers that still
+	// need one. The dials happen after the unlock, so one unreachable new
+	// member cannot stall a concurrent install (or Close) for a full dial
+	// timeout.
+	links := make(map[string]*Client, len(t.Members))
 	var stale []*Client
-	for addr, cli := range s.links {
-		if !current[addr] {
-			stale = append(stale, cli)
-			delete(s.links, addr)
+	if old := s.view.Load(); old != nil {
+		for addr, cli := range old.links {
+			if member[addr] {
+				links[addr] = cli
+			} else {
+				stale = append(stale, cli)
+			}
 		}
 	}
 	var missing []string
 	if rf > 1 {
-		self := s.Addr()
 		for _, m := range t.Members {
-			if m.Addr != self && s.links[m.Addr] == nil {
+			if m.Addr != s.self && links[m.Addr] == nil {
 				missing = append(missing, m.Addr)
 			}
 		}
 	}
+	s.view.Store(&replView{rf: rf, ring: ring, members: t.Members, links: links})
+	s.suspectMu.Lock()
+	s.suspects = make(map[string]bool)
+	s.suspectMu.Unlock()
 	s.viewMu.Unlock()
 
 	for _, cli := range stale {
@@ -368,30 +397,42 @@ func (s *Server) installView(t route.Table, rf int) {
 			failed = append(failed, addr)
 		}
 	}
-	// Re-acquire to install the links. A concurrent installView (or Crash,
-	// which nils the link map) may have superseded this view while dialing,
-	// so every link is re-validated against the state now present.
-	// Superseded dials are only collected here and closed after the unlock:
-	// Close waits for the connection's reader to drain, and forward() takes
-	// viewMu on every replicated write.
+	// Re-acquire to publish the links. A concurrent installView (or Close)
+	// may have superseded this view while dialing, so every link is
+	// re-validated against the view now present. Superseded dials are only
+	// collected here and closed after the unlock: Close waits for the
+	// connection's reader to drain.
 	s.viewMu.Lock()
-	member := make(map[string]bool, len(s.members))
-	for _, m := range s.members {
-		member[m.Addr] = true
+	cur := s.view.Load()
+	current := make(map[string]bool)
+	var next replView
+	if cur != nil {
+		if cur.rf > 1 {
+			for _, m := range cur.members {
+				current[m.Addr] = true
+			}
+		}
+		next = *cur
+		next.links = maps.Clone(cur.links)
 	}
 	var discard []*Client
 	for addr, cli := range dialed {
-		if s.links != nil && s.rf > 1 && member[addr] && s.links[addr] == nil {
-			s.links[addr] = cli
+		if current[addr] && next.links[addr] == nil {
+			next.links[addr] = cli
 		} else {
 			discard = append(discard, cli)
 		}
 	}
+	if cur != nil {
+		s.view.Store(&next)
+	}
+	s.suspectMu.Lock()
 	for _, addr := range failed {
-		if member[addr] {
+		if current[addr] {
 			s.suspects[addr] = true
 		}
 	}
+	s.suspectMu.Unlock()
 	s.viewMu.Unlock()
 	for _, cli := range discard {
 		cli.Close()
@@ -420,13 +461,12 @@ func (s *Server) FenceWrites(until time.Time) { s.sessions.fenceWrites(until) }
 // under its installed view. Servers without a view (single node, or rf <=
 // 1 where no ring is installed) own everything they hold.
 func (s *Server) isPrimary(routeKey string) bool {
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	if s.ring == nil {
+	v := s.view.Load()
+	if v == nil || v.ring == nil {
 		return true
 	}
-	idx := s.ring.Owner(routeKey)
-	return idx >= 0 && idx < len(s.members) && s.members[idx].Addr == s.Addr()
+	idx := v.ring.Owner(routeKey)
+	return idx >= 0 && idx < len(v.members) && v.members[idx].Addr == s.self
 }
 
 // stripeFor locks the ordering stripe of routeKey and returns its unlock.
@@ -438,53 +478,226 @@ func (s *Server) stripeFor(routeKey string) func() {
 	return m.Unlock
 }
 
-// forward synchronously replicates one write's resulting state to the
-// backups of routeKey. It is called with routeKey's stripe held, so a
-// backup observes this key's deltas in apply order. A backup that fails a
-// forward is marked suspect and skipped until the next view install — the
-// write is still acknowledged (availability over strict R; the router's
-// next repair restores the replica).
-func (s *Server) forward(routeKey string, entries map[string]Versioned, locks map[string]LockInfo) {
-	s.viewMu.Lock()
-	ring, rf := s.ring, s.rf
-	if ring == nil || rf <= 1 {
-		s.viewMu.Unlock()
-		return
+// write is the path every mutating method takes. Under routeKey's ordering
+// stripe, apply mutates the local store and appends the mutation's log
+// records; the resulting state then goes to the backups while the local
+// log commits, so the two fsyncs overlap instead of adding up. apply
+// returns the delta to forward (nil when nothing changed) and the log
+// position to wait for, or the operation's error (nothing applied, nothing
+// forwarded, and write returns it).
+//
+// Once the write is durable on this node and on every non-suspect backup,
+// cached copies are revoked — key invalidation, or for a lock transition
+// a notification of its watchers (notify != "") — and any write fence is
+// respected. Only then may the caller acknowledge.
+func (s *Server) write(routeKey, notify string, apply func() (*replReq, logPos, error)) error {
+	unlock := s.stripeFor(routeKey)
+	delta, pos, err := apply()
+	if err != nil {
+		unlock()
+		return err
 	}
-	self := s.Addr()
-	var targets []*Client
-	var addrs []string
-	for _, idx := range ring.Owners(routeKey, rf) {
-		addr := s.members[idx].Addr
-		if addr == self || s.suspects[addr] {
+	fwd := s.forward(routeKey, delta)
+	s.store.durWait(pos)
+	s.awaitForward(fwd)
+	unlock()
+	if notify != "" {
+		s.sessions.notify(notify)
+	} else {
+		s.sessions.invalidate(routeKey)
+	}
+	s.sessions.barrier()
+	return nil
+}
+
+// backupForward is one in-flight primary→backup delta.
+type backupForward struct {
+	addr string
+	call *transport.Call
+}
+
+// forwardBatch is the forwards of one write: every call carries the same
+// encoded delta, released once all of them completed.
+type forwardBatch struct {
+	payload []byte
+	calls   []backupForward
+}
+
+// forward starts replicating delta to the non-suspect backups of routeKey.
+// It runs under routeKey's stripe, so the requests leave in apply order;
+// awaitForward collects the replies.
+func (s *Server) forward(routeKey string, delta *replReq) forwardBatch {
+	var fb forwardBatch
+	v := s.view.Load()
+	if delta == nil || v == nil || v.ring == nil || v.rf <= 1 {
+		return fb
+	}
+	for _, idx := range v.ring.Owners(routeKey, v.rf) {
+		addr := v.members[idx].Addr
+		cli := v.links[addr]
+		if addr == s.self || cli == nil || s.suspect(addr) {
 			continue
 		}
-		if cli := s.links[addr]; cli != nil {
-			targets = append(targets, cli)
-			addrs = append(addrs, addr)
+		if fb.payload == nil {
+			fb.payload = transport.MustEncode(delta)
 		}
+		fb.calls = append(fb.calls, backupForward{addr: addr, call: cli.goReplicate(fb.payload)})
 	}
-	s.viewMu.Unlock()
-	for i, cli := range targets {
-		err := cli.replicate(replReq{Entries: entries, Locks: locks})
+	return fb
+}
+
+// awaitForward waits for every forward of fb. A backup that fails one is
+// marked suspect and skipped until the next view install — the write is
+// still acknowledged (availability over strict R; the router's next repair
+// restores the replica). Each wait is bounded by replicateTimeout, much
+// shorter than the client call timeout: a hung backup costs writers one
+// bounded stall before it is marked suspect, not a stall per write.
+func (s *Server) awaitForward(fb forwardBatch) {
+	for _, f := range fb.calls {
+		out, err := f.call.Wait(replicateTimeout)
 		if err != nil {
 			s.forwardErrs.Add(1)
-			s.viewMu.Lock()
-			newlySuspect := s.suspects != nil && !s.suspects[addrs[i]]
-			if s.suspects != nil {
-				s.suspects[addrs[i]] = true
-			}
-			hook := s.onReplFailure
-			s.viewMu.Unlock()
-			if newlySuspect && hook != nil {
-				// Asynchronous: the stripe is held and the repair needs the
-				// cluster's membership gate.
-				go hook(addrs[i])
-			}
+			s.markSuspect(f.addr)
 			continue
 		}
+		transport.ReleasePayload(out)
 		s.forwards.Add(1)
 	}
+	transport.ReleasePayload(fb.payload)
+}
+
+func (s *Server) suspect(addr string) bool {
+	s.suspectMu.Lock()
+	defer s.suspectMu.Unlock()
+	return s.suspects[addr]
+}
+
+// markSuspect records a failed forward to addr and, on the transition,
+// hands the address to the failure callback.
+func (s *Server) markSuspect(addr string) {
+	s.suspectMu.Lock()
+	newly := s.suspects != nil && !s.suspects[addr]
+	if newly {
+		s.suspects[addr] = true
+	}
+	hook := s.onReplFailure
+	s.suspectMu.Unlock()
+	if newly && hook != nil {
+		// Asynchronous: the stripe is held and the repair needs the
+		// cluster's membership gate.
+		go hook(addr)
+	}
+}
+
+// entryDelta is the replication delta of one data key's new state.
+func entryDelta(key string, v Versioned) *replReq {
+	return &replReq{Entries: map[string]Versioned{key: v}}
+}
+
+// lockDelta is the replication delta of one lock's new state.
+func lockDelta(name string, info LockInfo) *replReq {
+	return &replReq{Locks: map[string]LockInfo{name: info}}
+}
+
+// handleWrite decodes one mutating request, runs it through write and
+// returns the reply to encode. Values in payload are views into the request
+// frame: they are copied into the store and encoded into the forward before
+// handleWrite returns.
+func (s *Server) handleWrite(method string, payload []byte) (interface{}, error) {
+	var (
+		routeKey, notify string
+		apply            func() (*replReq, logPos, error)
+		reply            interface{}
+	)
+	switch method {
+	case "Put":
+		var r putReq
+		if err := transport.Decode(payload, &r); err != nil {
+			return nil, err
+		}
+		rep := &putReply{}
+		routeKey, reply = r.Key, rep
+		apply = func() (*replReq, logPos, error) {
+			ver, pos := s.store.put(r.Key, r.Val)
+			rep.Version = ver
+			return entryDelta(r.Key, Versioned{Value: r.Val, Version: ver}), pos, nil
+		}
+	case "Delete":
+		var r delReq
+		if err := transport.Decode(payload, &r); err != nil {
+			return nil, err
+		}
+		routeKey, reply = r.Key, &delReply{}
+		apply = func() (*replReq, logPos, error) {
+			tomb, ok, pos := s.store.deleteV(r.Key)
+			if !ok {
+				return nil, 0, nil
+			}
+			return entryDelta(r.Key, tomb), pos, nil
+		}
+	case "CAS":
+		var r casReq
+		if err := transport.Decode(payload, &r); err != nil {
+			return nil, err
+		}
+		rep := &casReply{}
+		routeKey, reply = r.Key, rep
+		apply = func() (*replReq, logPos, error) {
+			ver, _, pos, err := s.store.compareAndSwap(r.Key, r.Val, r.ExpectVersion)
+			if err != nil {
+				return nil, 0, err
+			}
+			rep.Version = ver
+			return entryDelta(r.Key, Versioned{Value: r.Val, Version: ver}), pos, nil
+		}
+	case "Add":
+		var r addReq
+		if err := transport.Decode(payload, &r); err != nil {
+			return nil, err
+		}
+		rep := &addReply{}
+		routeKey, reply = r.Key, rep
+		apply = func() (*replReq, logPos, error) {
+			v, cur, pos, err := s.store.addInt64(r.Key, r.Delta)
+			if err != nil {
+				return nil, 0, err
+			}
+			rep.Value = v
+			return entryDelta(r.Key, cur), pos, nil
+		}
+	case "TryLock":
+		var r lockReq
+		if err := transport.Decode(payload, &r); err != nil {
+			return nil, err
+		}
+		routeKey, notify, reply = lockRouteKey(r.Name), lockWatchTopic(r.Name), &lockReply{}
+		apply = func() (*replReq, logPos, error) {
+			info, pos, err := s.store.tryLock(r.Name, r.Owner, r.Lease)
+			if err != nil {
+				return nil, 0, err
+			}
+			return lockDelta(r.Name, info), pos, nil
+		}
+	case "Unlock":
+		var r unlockReq
+		if err := transport.Decode(payload, &r); err != nil {
+			return nil, err
+		}
+		routeKey, notify, reply = lockRouteKey(r.Name), lockWatchTopic(r.Name), &unlockReply{}
+		apply = func() (*replReq, logPos, error) {
+			info, pos, err := s.store.unlock(r.Name, r.Owner)
+			if err != nil {
+				return nil, 0, err
+			}
+			return lockDelta(r.Name, info), pos, nil
+		}
+	default:
+		return nil, fmt.Errorf("unknown write method %q", method)
+	}
+	if err := s.write(routeKey, notify, apply); err != nil {
+		return nil, wireError(err)
+	}
+	return reply, nil
 }
 
 func (s *Server) handle(req *transport.Request) ([]byte, error) {
@@ -507,119 +720,19 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 			return nil, wireError(err)
 		}
 		return transport.Encode(&getReply{Val: v})
-	case "Put":
-		var r putReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		unlock := s.stripeFor(r.Key)
-		ver := s.store.Put(r.Key, r.Val)
+	case "Put", "Delete", "CAS", "Add", "TryLock", "Unlock":
 		//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-		s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
-		unlock()
-		// Coherence: revoke cached copies (and wait for the acks), then
-		// respect any write fence, before the ack below can escape.
-		s.sessions.invalidate(r.Key)
-		s.sessions.barrier()
-		return transport.Encode(&putReply{Version: ver})
-	case "Delete":
-		var r delReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		unlock := s.stripeFor(r.Key)
-		if tomb, ok := s.store.DeleteV(r.Key); ok {
-			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-			s.forward(r.Key, map[string]Versioned{r.Key: tomb}, nil)
-		}
-		unlock()
-		s.sessions.invalidate(r.Key)
-		s.sessions.barrier()
-		return transport.Encode(&delReply{})
-	case "CAS":
-		var r casReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		unlock := s.stripeFor(r.Key)
-		ver, _, err := s.store.CompareAndSwap(r.Key, r.Val, r.ExpectVersion)
-		if err == nil {
-			//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-			s.forward(r.Key, map[string]Versioned{r.Key: {Value: r.Val, Version: ver}}, nil)
-		}
-		unlock()
+		reply, err := s.handleWrite(req.Method, req.Payload)
 		if err != nil {
-			return nil, wireError(err)
-		}
-		s.sessions.invalidate(r.Key)
-		s.sessions.barrier()
-		return transport.Encode(&casReply{Version: ver})
-	case "Add":
-		var r addReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
-		unlock := s.stripeFor(r.Key)
-		v, err := s.store.AddInt64(r.Key, r.Delta)
-		if err == nil {
-			if cur, gerr := s.store.Get(r.Key); gerr == nil {
-				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forward(r.Key, map[string]Versioned{r.Key: cur}, nil)
-			}
-		}
-		unlock()
-		if err != nil {
-			return nil, wireError(err)
-		}
-		s.sessions.invalidate(r.Key)
-		s.sessions.barrier()
-		return transport.Encode(&addReply{Value: v})
+		return transport.Encode(reply)
 	case "Keys":
 		var r keysReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
 		return transport.Encode(&keysReply{Keys: s.store.Keys(r.Prefix)})
-	case "TryLock":
-		var r lockReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		unlock := s.stripeFor(lockRouteKey(r.Name))
-		err := s.store.TryLock(r.Name, r.Owner, r.Lease)
-		if err == nil {
-			if snap, ok := s.store.LockSnapshot(r.Name); ok {
-				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forward(lockRouteKey(r.Name), nil, map[string]LockInfo{r.Name: snap})
-			}
-		}
-		unlock()
-		if err != nil {
-			return nil, wireError(err)
-		}
-		s.sessions.notify(lockWatchTopic(r.Name))
-		s.sessions.barrier()
-		return transport.Encode(&lockReply{})
-	case "Unlock":
-		var r unlockReq
-		if err := transport.Decode(req.Payload, &r); err != nil {
-			return nil, err
-		}
-		unlock := s.stripeFor(lockRouteKey(r.Name))
-		err := s.store.Unlock(r.Name, r.Owner)
-		if err == nil {
-			if snap, ok := s.store.LockSnapshot(r.Name); ok {
-				//ermi:ignore budgetprop replication deliberately runs under its own replicateTimeout: the write is already applied locally, and backup health must not depend on the caller's remaining budget
-				s.forward(lockRouteKey(r.Name), nil, map[string]LockInfo{r.Name: snap})
-			}
-		}
-		unlock()
-		if err != nil {
-			return nil, wireError(err)
-		}
-		s.sessions.notify(lockWatchTopic(r.Name))
-		s.sessions.barrier()
-		return transport.Encode(&unlockReply{})
 	case "SessOpen":
 		var r sessOpenReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -661,18 +774,18 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		// the interest and carry a sequence above the snapshot, so the
 		// client's install guard can tell "already reflected in this value"
 		// from "revokes this value".
-		snap, noCache, err := s.sessions.lease(r.ID, r.Key)
+		snap, grant, noCache, err := s.sessions.lease(r.ID, r.Key)
 		if err != nil {
 			return nil, wireError(err)
 		}
 		v, err := s.store.Get(r.Key)
 		if err != nil {
 			if !noCache {
-				s.sessions.forget(r.ID, r.Key)
+				s.sessions.forget(r.ID, r.Key, grant)
 			}
 			return nil, wireError(err)
 		}
-		return transport.Encode(&leaseReply{Val: v, Snapshot: snap, NoCache: noCache})
+		return transport.Encode(&leaseReply{Val: v, Snapshot: snap, NoCache: noCache, Grant: grant})
 	case "SessAck":
 		var r sessAckReq
 		if err := transport.Decode(req.Payload, &r); err != nil {
@@ -685,7 +798,7 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
-		s.sessions.forget(r.ID, r.Key)
+		s.sessions.forget(r.ID, r.Key, r.Grant)
 		return transport.Encode(&sessForgetReply{})
 	case "SessWatch", "SessUnwatch":
 		var r sessWatchReq
@@ -737,10 +850,9 @@ func (s *Server) handle(req *transport.Request) ([]byte, error) {
 		if err := transport.Decode(req.Payload, &r); err != nil {
 			return nil, err
 		}
-		s.store.Import(r.Entries)
-		s.store.Drop(r.Dels)
-		s.store.ImportLocks(r.Locks)
-		s.store.DropLocks(r.LockDrops)
+		pos := max(s.store.importEntries(r.Entries), s.store.drop(r.Dels),
+			s.store.importLocks(r.Locks), s.store.dropLocks(r.LockDrops))
+		s.store.durWait(pos)
 		return transport.Encode(&replReply{})
 	default:
 		return nil, fmt.Errorf("unknown method %q", req.Method)

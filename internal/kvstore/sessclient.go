@@ -35,10 +35,12 @@ type SessionOptions struct {
 }
 
 // cacheEntry is one cached key (list.Element value; the list is the LRU
-// order, front = most recently used).
+// order, front = most recently used). grant is the newest lease the entry
+// was installed under; evicting it forgets exactly that lease.
 type cacheEntry struct {
-	key string
-	val Versioned
+	key   string
+	val   Versioned
+	grant uint64
 }
 
 // Session is a keepalive-backed session with one store node, holding a
@@ -347,39 +349,42 @@ func (s *Session) Get(key string) (Versioned, error) {
 	if err := s.call("GetLease", &leaseReq{ID: s.id, Key: key}, &rep); err != nil {
 		return Versioned{}, err
 	}
-	var evicted string
+	var evicted *cacheEntry
 	s.mu.Lock()
 	if !s.dead && !rep.NoCache &&
 		s.invalFloor <= rep.Snapshot && s.lastInval[key] <= rep.Snapshot {
-		evicted = s.installLocked(key, rep.Val)
+		evicted = s.installLocked(key, rep.Val, rep.Grant)
 	}
 	s.mu.Unlock()
-	if evicted != "" {
+	if evicted != nil {
 		// Fire-and-forget: a lost forget leaves a harmless stale interest
 		// (the next write pushes one spurious, immediately-acked inval).
-		_ = s.conn.OneWayDecode(ServiceName, "SessForget", &sessForgetReq{ID: s.id, Key: evicted})
+		// The grant keeps a forget that overtakes a concurrent re-lease of
+		// the same key from dropping the newer lease's interest.
+		_ = s.conn.OneWayDecode(ServiceName, "SessForget", &sessForgetReq{ID: s.id, Key: evicted.key, Grant: evicted.grant})
 	}
 	return rep.Val, nil
 }
 
 // installLocked inserts (or refreshes) a cache entry, copying the value out
-// of the transport frame, and returns the key evicted to make room ("" if
-// none).
-func (s *Session) installLocked(key string, v Versioned) (evicted string) {
+// of the transport frame, and returns the entry evicted to make room (nil
+// if none).
+func (s *Session) installLocked(key string, v Versioned, grant uint64) (evicted *cacheEntry) {
 	val := Versioned{Value: append([]byte(nil), v.Value...), Version: v.Version, Deleted: v.Deleted}
 	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		ent := el.Value.(*cacheEntry)
+		ent.val = val
+		ent.grant = max(ent.grant, grant)
 		s.lru.MoveToFront(el)
-		return ""
+		return nil
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, val: val})
+	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, val: val, grant: grant})
 	if len(s.entries) <= s.maxEntries {
-		return ""
+		return nil
 	}
-	tail := s.lru.Back()
-	ent := tail.Value.(*cacheEntry)
+	ent := s.lru.Back().Value.(*cacheEntry)
 	s.removeLocked(ent.key)
-	return ent.key
+	return ent
 }
 
 // Watch subscribes to lossy change notifications for a data key: the

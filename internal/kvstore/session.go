@@ -109,6 +109,10 @@ type (
 		// NoCache means the value may be served but not cached: the
 		// session's interest table is full.
 		NoCache bool
+		// Grant numbers this lease within its session. The client hands it
+		// back when it evicts the entry (SessForget), so a forget that
+		// arrives after a newer lease of the same key drops nothing.
+		Grant uint64
 	}
 	sessAckReq struct {
 		ID uint64
@@ -118,8 +122,9 @@ type (
 	}
 	sessAckReply  struct{}
 	sessForgetReq struct {
-		ID  uint64
-		Key string
+		ID    uint64
+		Key   string
+		Grant uint64 // the lease the evicted entry was installed under
 	}
 	sessForgetReply struct{}
 	sessWatchReq    struct {
@@ -156,11 +161,20 @@ type serverSession struct {
 	// increments under the manager mutex, so the sequence a GetLease
 	// snapshot observes and the sequence an invalidation issues are totally
 	// ordered.
-	seq      uint64
-	interest map[string]struct{}
+	seq uint64
+	// interest maps each key this session may cache to the number of its
+	// latest lease grant (grants counts them).
+	interest map[string]uint64
+	grants   uint64
 	topics   map[string]struct{}
 	acks     map[uint64]chan struct{}
-	dead     chan struct{}
+	// dead is closed when the session is killed, for any reason. closed
+	// is closed only when its client closed it (SessClose) after marking
+	// itself dead — the one kill that proves the client stopped serving
+	// before its lease ran out, so writers waiting on its acks may stop
+	// waiting.
+	dead   chan struct{}
+	closed chan struct{}
 	// outbox holds queued events in seq-assignment order; sendSig (capacity
 	// 1) wakes the session's sender goroutine. Events are appended under
 	// the manager mutex and drained by that single goroutine, so they reach
@@ -227,10 +241,11 @@ func (m *sessionMgr) open(p eventPusher) (id uint64, ttl time.Duration) {
 		id:       m.nextID,
 		pusher:   p,
 		expires:  m.clock.Now().Add(m.ttl),
-		interest: make(map[string]struct{}),
+		interest: make(map[string]uint64),
 		topics:   make(map[string]struct{}),
 		acks:     make(map[uint64]chan struct{}),
 		dead:     make(chan struct{}),
+		closed:   make(chan struct{}),
 		sendSig:  make(chan struct{}, 1),
 	}
 	m.sessions[sess.id] = sess
@@ -315,18 +330,22 @@ func (m *sessionMgr) keepalive(id, processed uint64) (eventSeq uint64, ttl time.
 	return sess.seq, m.ttl, nil
 }
 
-// close tears the session down: interest and watches dropped, writers
-// waiting on its acks released.
+// close tears the session down at the client's request: interest and
+// watches dropped, writers waiting on its acks released (the client marked
+// itself dead before asking, so nothing it cached is served any more).
 func (m *sessionMgr) close(id uint64) {
 	m.mu.Lock()
 	if sess := m.sessions[id]; sess != nil {
 		m.killLocked(sess)
+		close(sess.closed)
 	}
 	m.mu.Unlock()
 }
 
-// killLocked removes the session and wakes every writer waiting on one of
-// its acknowledgments (they select on dead).
+// killLocked removes the session. Writers waiting on its acknowledgments
+// keep waiting for the lease deadline they captured: a session killed
+// because its connection died may still be serving its cache on the other
+// side, until its own lease runs out.
 func (m *sessionMgr) killLocked(sess *serverSession) {
 	if _, live := m.sessions[sess.id]; !live {
 		return
@@ -357,23 +376,23 @@ func (m *sessionMgr) dropIndexLocked(idx map[string]map[*serverSession]struct{},
 }
 
 // lease registers the session's interest in key and returns the event-
-// sequence snapshot the client's install guard needs. It MUST be called
-// before the store read it covers: registration and invalidation issue are
-// ordered by the manager mutex, so a write applied after the read is
-// guaranteed to find the interest (sequence > snapshot), and any event with
-// sequence <= snapshot belongs to a write the read already observed.
-func (m *sessionMgr) lease(id uint64, key string) (snapshot uint64, noCache bool, err error) {
+// sequence snapshot the client's install guard needs, plus the grant
+// number a later forget must name. It MUST be called before the store read
+// it covers: registration and invalidation issue are ordered by the
+// manager mutex, so a write applied after the read is guaranteed to find
+// the interest (sequence > snapshot), and any event with sequence <=
+// snapshot belongs to a write the read already observed.
+func (m *sessionMgr) lease(id uint64, key string) (snapshot, grant uint64, noCache bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sess := m.liveLocked(id)
 	if sess == nil {
-		return 0, false, ErrNoSession
+		return 0, 0, false, ErrNoSession
 	}
 	if _, have := sess.interest[key]; !have {
 		if len(sess.interest) >= m.maxInterest {
-			return sess.seq, true, nil
+			return sess.seq, 0, true, nil
 		}
-		sess.interest[key] = struct{}{}
 		set := m.byKey[key]
 		if set == nil {
 			set = make(map[*serverSession]struct{})
@@ -381,15 +400,22 @@ func (m *sessionMgr) lease(id uint64, key string) (snapshot uint64, noCache bool
 		}
 		set[sess] = struct{}{}
 	}
-	return sess.seq, false, nil
+	sess.grants++
+	sess.interest[key] = sess.grants
+	return sess.seq, sess.grants, false, nil
 }
 
-// forget drops the session's interest in key (client-side eviction). The
-// client keeps its install guard, so a forget racing an in-flight
-// invalidation is harmless on both sides.
-func (m *sessionMgr) forget(id uint64, key string) {
+// forget drops the session's interest in key, taken under lease grant
+// (client-side eviction, or a lease read that found nothing). Only that
+// grant is dropped: a forget is not ordered against a newer lease of the
+// same key — the client may evict a copy while another of its reads
+// re-leases the key, and the server may see the two in either order — and
+// dropping the newer lease's interest would leave its cached copy with
+// nobody to invalidate it. The client keeps its install guard, so a forget
+// racing an in-flight invalidation is harmless on both sides.
+func (m *sessionMgr) forget(id uint64, key string, grant uint64) {
 	m.mu.Lock()
-	if sess := m.sessions[id]; sess != nil {
+	if sess := m.sessions[id]; sess != nil && sess.interest[key] == grant {
 		delete(sess.interest, key)
 		m.dropIndexLocked(m.byKey, key, sess)
 	}
@@ -459,8 +485,7 @@ func (m *sessionMgr) invalidate(key string) {
 		now := m.clock.Now()
 		for sess := range set {
 			delete(sess.interest, key)
-			if !sess.expires.After(now) || sess.pusher.Closed() {
-				m.killLocked(sess)
+			if m.reapLocked(sess, now, &pend) {
 				continue
 			}
 			sess.seq++
@@ -486,14 +511,13 @@ func (m *sessionMgr) flushAll() {
 	var pend []pendingAck
 	now := m.clock.Now()
 	for _, sess := range m.sessions {
-		if !sess.expires.After(now) || sess.pusher.Closed() {
-			m.killLocked(sess)
+		if m.reapLocked(sess, now, &pend) {
 			continue
 		}
 		for k := range sess.interest {
 			m.dropIndexLocked(m.byKey, k, sess)
 		}
-		sess.interest = make(map[string]struct{})
+		sess.interest = make(map[string]uint64)
 		sess.seq++
 		ch := make(chan struct{})
 		sess.acks[sess.seq] = ch
@@ -504,12 +528,32 @@ func (m *sessionMgr) flushAll() {
 	m.await(pend)
 }
 
+// reapLocked kills a session an invalidation cannot reach — lease lapsed,
+// or connection gone — and reports whether it did. A lapsed session has
+// stopped serving. One whose connection died may not know it yet and keep
+// serving its cache until its own lease runs out, so the invalidation
+// still waits for that deadline (an ack-less pending entry).
+func (m *sessionMgr) reapLocked(sess *serverSession, now time.Time, pend *[]pendingAck) bool {
+	if !sess.expires.After(now) {
+		m.killLocked(sess)
+		return true
+	}
+	if sess.pusher.Closed() {
+		m.killLocked(sess)
+		*pend = append(*pend, pendingAck{sess: sess, deadline: sess.expires})
+		return true
+	}
+	return false
+}
+
 // await blocks until every pending invalidation is acknowledged, its
-// session dies, or its lease deadline passes. Whichever fires, the entry
-// under revocation is provably no longer served — past the deadline the
-// client either never processed the event (then its own lease, anchored at
-// or before ours, has ended) or processed it (the keepalive gate admits no
-// other renewal), so the entry is gone from its cache either way.
+// session is closed by its client, or its lease deadline passes. Whichever
+// fires, the entry under revocation is provably no longer served — past
+// the deadline the client either never processed the event (then its own
+// lease, anchored at or before ours, has ended) or processed it (the
+// keepalive gate admits no other renewal), so the entry is gone from its
+// cache either way. A session killed for any other reason (its connection
+// died) is waited out like an unresponsive one: its client may not know.
 func (m *sessionMgr) await(pend []pendingAck) {
 	for _, p := range pend {
 		d := p.deadline.Sub(m.clock.Now())
@@ -517,8 +561,8 @@ func (m *sessionMgr) await(pend []pendingAck) {
 			d = 0
 		}
 		select {
-		case <-p.ch:
-		case <-p.sess.dead:
+		case <-p.ch: // nil for a session already reaped: never fires
+		case <-p.sess.closed:
 		case <-m.clock.After(d):
 			m.resolveOverdue(p)
 		}

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"elasticrmi/internal/simclock"
 	"elasticrmi/internal/transport"
 )
 
@@ -26,6 +28,18 @@ func newSessionNode(t *testing.T) (*Server, *Client) {
 	}
 	t.Cleanup(func() { cli.Close() })
 	return srv, cli
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func openSession(t *testing.T, addr string, opts SessionOptions) *Session {
@@ -609,7 +623,7 @@ func TestSessionEventOrderUnderConcurrentWrites(t *testing.T) {
 	const rounds = 50
 	for round := 0; round < rounds; round++ {
 		for _, k := range keys {
-			if _, _, err := m.lease(id, k); err != nil {
+			if _, _, _, err := m.lease(id, k); err != nil {
 				t.Fatalf("lease round %d: %v", round, err)
 			}
 		}
@@ -632,6 +646,120 @@ func TestSessionEventOrderUnderConcurrentWrites(t *testing.T) {
 		if p.seqs[i] <= p.seqs[i-1] {
 			t.Fatalf("event pushed out of order: seq %d after seq %d (index %d)",
 				p.seqs[i], p.seqs[i-1], i)
+		}
+	}
+}
+
+// TestSessionForgetSparesNewerLease is the regression test for a coherence
+// hole in cache eviction. Evicting a key sends a one-way SessForget, which
+// is not ordered against the client's other calls: another reader of the
+// same session could re-lease the evicted key, have that GetLease served
+// first, and then see the forget drop the interest its fresh copy was
+// registered under — the copy stayed cached with nobody to invalidate it,
+// and the next write to the key was acknowledged while it was served. A
+// forget now names the lease grant it retires and spares any newer one.
+func TestSessionForgetSparesNewerLease(t *testing.T) {
+	m := newSessionMgr(nil)
+	defer m.closeAll()
+	m.setTTL(time.Minute)
+	p := &recordingPusher{mgr: m}
+	id, _ := m.open(p)
+	p.id = id
+
+	_, evictedGrant, _, err := m.lease(id, "k") // the copy the client evicts
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, liveGrant, _, err := m.lease(id, "k") // a concurrent read re-leases it
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.forget(id, "k", evictedGrant) // the eviction's forget lands last
+	if n := m.interestCount("k"); n != 1 {
+		t.Fatalf("stale forget dropped the re-leased copy's interest (%d sessions interested)", n)
+	}
+	m.invalidate("k")
+	p.mu.Lock()
+	pushed := len(p.seqs)
+	p.mu.Unlock()
+	if pushed != 1 {
+		t.Fatalf("write to the re-leased key pushed %d invalidations, want 1", pushed)
+	}
+
+	// Retiring the live grant does drop the interest.
+	_, liveGrant, _, _ = m.lease(id, "k")
+	m.forget(id, "k", liveGrant)
+	if n := m.interestCount("k"); n != 0 {
+		t.Fatalf("forget of the current grant kept the interest (%d)", n)
+	}
+}
+
+// severablePusher is a session connection the test can cut: once severed
+// the server sees it closed, while the client on the other end — frozen,
+// or simply not yet aware — may keep serving its cache.
+type severablePusher struct{ severed atomic.Bool }
+
+func (p *severablePusher) Send(kind, seq uint64, topic string, payload []byte) error {
+	if p.severed.Load() {
+		return transport.ErrClosed
+	}
+	return nil
+}
+
+func (p *severablePusher) Closed() bool { return p.severed.Load() }
+
+// TestSessionConnectionLossWaitsOutLease is the regression test for the
+// other way a write could be acknowledged under a live cached copy: when
+// the server saw a session's connection die, it killed the session and
+// released the write at once — but the client learns of a dead connection
+// only when a call on it fails, and until then it serves its cache for the
+// rest of its lease. A write must now wait for that lease to end, on the
+// server's clock, exactly as for a client that stopped acking.
+func TestSessionConnectionLossWaitsOutLease(t *testing.T) {
+	sim := simclock.NewSim(time.Unix(1000, 0))
+	m := newSessionMgr(sim)
+	defer m.closeAll()
+	const ttl = 2 * time.Second
+	m.setTTL(ttl)
+	for _, flush := range []bool{false, true} {
+		p := &severablePusher{}
+		id, _ := m.open(p)
+		if _, _, _, err := m.lease(id, "k"); err != nil {
+			t.Fatal(err)
+		}
+		p.severed.Store(true)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if flush {
+				m.flushAll() // a view change
+			} else {
+				m.invalidate("k") // a write
+			}
+		}()
+		waitFor(t, "the revocation to park on the lease deadline", func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return sim.Pending() == 1
+			}
+		})
+		select {
+		case <-done:
+			t.Fatalf("flush=%v: revocation completed with the severed session's lease still running", flush)
+		default:
+		}
+		sim.Advance(ttl - time.Millisecond)
+		select {
+		case <-done:
+			t.Fatalf("flush=%v: revocation completed %v before the lease deadline", flush, time.Millisecond)
+		case <-time.After(20 * time.Millisecond):
+		}
+		sim.Advance(time.Millisecond)
+		<-done
+		if n := m.sessionCount(); n != 0 {
+			t.Fatalf("flush=%v: severed session survived (%d live)", flush, n)
 		}
 	}
 }
@@ -684,18 +812,10 @@ func TestSessionAdoptsLoweredTTL(t *testing.T) {
 // which session-control calls must ride the express lane or starve.
 func newTinyPoolServer(t *testing.T) *Server {
 	t.Helper()
-	store, err := NewStoreDur(nil, DurOptions{})
+	s, err := newServer("127.0.0.1:0", nil, DurOptions{}, transport.ServerOptions{MaxConcurrent: 2, MaxQueue: 2})
 	if err != nil {
-		t.Fatalf("NewStoreDur: %v", err)
+		t.Fatalf("newServer: %v", err)
 	}
-	s := &Server{store: store, sessions: newSessionMgr(nil)}
-	srv, err := transport.ServeOpts("127.0.0.1:0", s.handle,
-		transport.ServerOptions{MaxConcurrent: 2, MaxQueue: 2, Express: sessionControlExpress})
-	if err != nil {
-		store.Close()
-		t.Fatalf("ServeOpts: %v", err)
-	}
-	s.srv = srv
 	t.Cleanup(func() { s.Close() })
 	return s
 }

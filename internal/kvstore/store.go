@@ -88,6 +88,15 @@
 // each still returns only after ITS record is durable, but a batch of N
 // concurrent writers pays ~1 fsync rather than N.
 //
+// Replicated, the contract covers every copy the ack vouches for: a write
+// is acknowledged only once it is fsynced on the primary and on every
+// non-suspect backup (the backup replies to a forward after its own log
+// commit). The two fsyncs overlap: the primary appends the record, sends
+// the forward, and only then waits for its own commit, so an R=2 write
+// pays about one fsync of latency, not two in a row. A backup that fails a
+// forward is marked suspect and stops counting until the router repairs
+// it, exactly as for an in-memory cluster.
+//
 // Every DurOptions.SnapshotEvery mutations the store writes a compacted
 // snapshot — the Export/ExportLocks image captured at a recorded log
 // position, atomically renamed into place — and drops the log segments the
@@ -159,6 +168,8 @@ type Versioned struct {
 // only if it is newer than what it already holds), so a delayed
 // re-delivery can never resurrect a released or superseded lease. An empty
 // Owner is a release tombstone.
+//
+//ermi:codec
 type LockInfo struct {
 	Owner   string
 	Expires time.Time
@@ -177,6 +188,11 @@ type lockState struct {
 	expires time.Time
 	seq     uint64
 	stamp   time.Time // when this state was installed here (GC horizon)
+}
+
+// info is the exportable (replicated, migrated) form of st.
+func (st lockState) info() LockInfo {
+	return LockInfo{Owner: st.owner, Expires: st.expires, Seq: st.seq}
 }
 
 // defaultTombTTL is the default tombstone retention horizon. It must
@@ -286,6 +302,16 @@ func (s *Store) Get(key string) (Versioned, error) {
 // Put stores value at key and returns the new version. On a durable store
 // it returns only after the write's log record is fsynced.
 func (s *Store) Put(key string, value []byte) uint64 {
+	ver, pos := s.put(key, value)
+	s.durWait(pos)
+	return ver
+}
+
+// put is Put without the durability wait: it applies the write and appends
+// its log record, returning the position to wait for. The mutating methods
+// below all come in this pair; the server's write path uses the unexported
+// halves to overlap the local fsync with the backup forward.
+func (s *Store) put(key string, value []byte) (uint64, logPos) {
 	s.mu.Lock()
 	e := s.data[key]
 	e.version++
@@ -297,25 +323,25 @@ func (s *Store) Put(key string, value []byte) uint64 {
 	rec := s.entryRecLocked(key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return e.version
+	return e.version, s.durAppend(rec)
 }
 
 // Delete removes key, leaving a version-stamped tombstone so replicas and
 // rebalance merges order the deletion against stale live copies (see
 // Versioned.Deleted). Deleting a missing key is a no-op.
 func (s *Store) Delete(key string) {
-	s.DeleteV(key)
+	_, _, pos := s.deleteV(key)
+	s.durWait(pos)
 }
 
-// DeleteV is Delete returning the resulting tombstone (for replication);
-// ok is false when the key did not exist.
-func (s *Store) DeleteV(key string) (Versioned, bool) {
+// deleteV also returns the resulting tombstone, for replication; ok is
+// false when the key did not exist.
+func (s *Store) deleteV(key string) (Versioned, bool, logPos) {
 	s.mu.Lock()
 	e, ok := s.data[key]
 	if !ok || e.deleted {
 		s.mu.Unlock()
-		return Versioned{}, false
+		return Versioned{}, false, 0
 	}
 	e.version++
 	e.deleted = true
@@ -325,27 +351,34 @@ func (s *Store) DeleteV(key string) (Versioned, bool) {
 	rec := s.entryRecLocked(key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return Versioned{Version: e.version, Deleted: true}, true
+	return Versioned{Version: e.version, Deleted: true}, true, s.durAppend(rec)
 }
 
 // Drop hard-removes keys — values, tombstones and version history. Used by
 // rebalance cleanup on nodes leaving a key's replica set, so no stale copy
 // survives to resurface in a later membership change.
-func (s *Store) Drop(keys []string) {
+func (s *Store) Drop(keys []string) { s.durWait(s.drop(keys)) }
+
+func (s *Store) drop(keys []string) logPos {
 	s.mu.Lock()
 	for _, k := range keys {
 		delete(s.data, k)
 	}
 	rec := s.dropRecLocked(durDrop, keys)
 	s.mu.Unlock()
-	s.durCommit(rec)
+	return s.durAppend(rec)
 }
 
 // CompareAndSwap stores value at key iff the current version equals
 // expectVersion (0 means "key must not exist"). On success it returns the
 // new version; on conflict it returns ErrCASMismatch and the current value.
 func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64) (uint64, Versioned, error) {
+	ver, cur, pos, err := s.compareAndSwap(key, value, expectVersion)
+	s.durWait(pos)
+	return ver, cur, err
+}
+
+func (s *Store) compareAndSwap(key string, value []byte, expectVersion uint64) (uint64, Versioned, logPos, error) {
 	s.mu.Lock()
 	e, exists := s.data[key]
 	cur := uint64(0)
@@ -356,7 +389,7 @@ func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64) (
 		val := make([]byte, len(e.value))
 		copy(val, e.value)
 		s.mu.Unlock()
-		return 0, Versioned{Value: val, Version: cur}, ErrCASMismatch
+		return 0, Versioned{Value: val, Version: cur}, 0, ErrCASMismatch
 	}
 	// A re-creation continues above the tombstone's version (e.version is
 	// the tombstone when the key was deleted), keeping per-key history
@@ -370,14 +403,20 @@ func (s *Store) CompareAndSwap(key string, value []byte, expectVersion uint64) (
 	rec := s.entryRecLocked(key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return e.version, Versioned{}, nil
+	return e.version, Versioned{}, s.durAppend(rec), nil
 }
 
 // AddInt64 atomically adds delta to the integer stored at key (missing keys
 // count as 0) and returns the new value. The value is stored in decimal form
 // so it remains readable through Get.
 func (s *Store) AddInt64(key string, delta int64) (int64, error) {
+	v, _, pos, err := s.addInt64(key, delta)
+	s.durWait(pos)
+	return v, err
+}
+
+// addInt64 also returns the key's resulting state, for replication.
+func (s *Store) addInt64(key string, delta int64) (int64, Versioned, logPos, error) {
 	s.mu.Lock()
 	e := s.data[key]
 	var cur int64
@@ -385,7 +424,7 @@ func (s *Store) AddInt64(key string, delta int64) (int64, error) {
 		v, err := strconv.ParseInt(string(e.value), 10, 64)
 		if err != nil {
 			s.mu.Unlock()
-			return 0, fmt.Errorf("add %q: %w", key, err)
+			return 0, Versioned{}, 0, fmt.Errorf("add %q: %w", key, err)
 		}
 		cur = v
 	}
@@ -398,8 +437,7 @@ func (s *Store) AddInt64(key string, delta int64) (int64, error) {
 	rec := s.entryRecLocked(key, e)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return cur, nil
+	return cur, Versioned{Value: e.value, Version: e.version}, s.durAppend(rec), nil
 }
 
 // Keys returns all keys with the given prefix, sorted.
@@ -433,6 +471,13 @@ func (s *Store) Len() int {
 // Expired leases are broken. Re-acquiring a held lock by the same owner
 // renews the lease.
 func (s *Store) TryLock(name, owner string, lease time.Duration) error {
+	_, pos, err := s.tryLock(name, owner, lease)
+	s.durWait(pos)
+	return err
+}
+
+// tryLock also returns the lock's resulting state, for replication.
+func (s *Store) tryLock(name, owner string, lease time.Duration) (LockInfo, logPos, error) {
 	if lease <= 0 {
 		lease = 30 * time.Second
 	}
@@ -441,7 +486,7 @@ func (s *Store) TryLock(name, owner string, lease time.Duration) error {
 	st, held := s.locks[name]
 	if held && st.owner != "" && st.owner != owner && st.expires.After(now) {
 		s.mu.Unlock()
-		return fmt.Errorf("lock %q owned by %s: %w", name, st.owner, ErrLockHeld)
+		return LockInfo{}, 0, fmt.Errorf("lock %q owned by %s: %w", name, st.owner, ErrLockHeld)
 	}
 	s.lockSeq++
 	st = lockState{owner: owner, expires: now.Add(lease), seq: s.lockSeq, stamp: now}
@@ -449,19 +494,26 @@ func (s *Store) TryLock(name, owner string, lease time.Duration) error {
 	rec := s.lockRecLocked(name, st)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return nil
+	return st.info(), s.durAppend(rec), nil
 }
 
 // Unlock releases the named lock held by owner. The release leaves a
 // sequence-stamped tombstone so replicas can order it against in-flight
 // lease updates.
 func (s *Store) Unlock(name, owner string) error {
+	_, pos, err := s.unlock(name, owner)
+	s.durWait(pos)
+	return err
+}
+
+// unlock also returns the lock's resulting release tombstone, for
+// replication.
+func (s *Store) unlock(name, owner string) (LockInfo, logPos, error) {
 	s.mu.Lock()
 	st, held := s.locks[name]
 	if !held || st.owner != owner {
 		s.mu.Unlock()
-		return fmt.Errorf("unlock %q by %s: %w", name, owner, ErrNotLockOwner)
+		return LockInfo{}, 0, fmt.Errorf("unlock %q by %s: %w", name, owner, ErrNotLockOwner)
 	}
 	s.lockSeq++
 	st = lockState{owner: "", expires: time.Time{}, seq: s.lockSeq, stamp: s.clock.Now()}
@@ -469,8 +521,7 @@ func (s *Store) Unlock(name, owner string) error {
 	rec := s.lockRecLocked(name, st)
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(rec)
-	return nil
+	return st.info(), s.durAppend(rec), nil
 }
 
 // LockOwner reports the current owner of the named lock, if unexpired.
@@ -482,19 +533,6 @@ func (s *Store) LockOwner(name string) (string, bool) {
 		return "", false
 	}
 	return st.owner, true
-}
-
-// LockSnapshot returns the replication image of one lock (including release
-// tombstones) for forwarding to backups. ok is false when the lock was
-// never touched on this store.
-func (s *Store) LockSnapshot(name string) (LockInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, held := s.locks[name]
-	if !held {
-		return LockInfo{}, false
-	}
-	return LockInfo{Owner: st.owner, Expires: st.expires, Seq: st.seq}, true
 }
 
 // exportChunkSize bounds how many entries are copied per lock
@@ -553,7 +591,9 @@ func (s *Store) Export(keep func(key string) bool) map[string]Versioned {
 // so re-delivered or overlapping imports (migration retries, replica
 // repair) are idempotent and can never roll a key back — nor resurrect a
 // deletion, since tombstones outrank the values they superseded.
-func (s *Store) Import(entries map[string]Versioned) {
+func (s *Store) Import(entries map[string]Versioned) { s.durWait(s.importEntries(entries)) }
+
+func (s *Store) importEntries(entries map[string]Versioned) logPos {
 	now := s.clock.Now()
 	s.mu.Lock()
 	var recs [][]byte
@@ -567,7 +607,7 @@ func (s *Store) Import(entries map[string]Versioned) {
 	}
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(recs...)
+	return s.durAppend(recs...)
 }
 
 // installEntryLocked applies one versioned entry with the Import gate
@@ -613,7 +653,7 @@ func (s *Store) ExportLocks(keep func(name string) bool) map[string]LockInfo {
 			if !ok {
 				continue // dropped between chunks
 			}
-			out[name] = LockInfo{Owner: st.owner, Expires: st.expires, Seq: st.seq}
+			out[name] = st.info()
 		}
 		s.mu.Unlock()
 		if exportPause != nil && end < len(names) {
@@ -627,21 +667,25 @@ func (s *Store) ExportLocks(keep func(name string) bool) map[string]LockInfo {
 // and their sequence history). Used by rebalance cleanup on nodes leaving
 // a lock's replica set, so no stale copy survives to resurface in a later
 // membership change.
-func (s *Store) DropLocks(names []string) {
+func (s *Store) DropLocks(names []string) { s.durWait(s.dropLocks(names)) }
+
+func (s *Store) dropLocks(names []string) logPos {
 	s.mu.Lock()
 	for _, name := range names {
 		delete(s.locks, name)
 	}
 	rec := s.dropRecLocked(durLockDrop, names)
 	s.mu.Unlock()
-	s.durCommit(rec)
+	return s.durAppend(rec)
 }
 
 // ImportLocks installs lock leases (held states and release tombstones).
 // Per name, a newer sequence wins; the store's own sequence counter is
 // advanced past every installed value so local mutations made after a
 // promotion keep winning over anything replicated before it.
-func (s *Store) ImportLocks(locks map[string]LockInfo) {
+func (s *Store) ImportLocks(locks map[string]LockInfo) { s.durWait(s.importLocks(locks)) }
+
+func (s *Store) importLocks(locks map[string]LockInfo) logPos {
 	now := s.clock.Now()
 	s.mu.Lock()
 	var recs [][]byte
@@ -655,7 +699,7 @@ func (s *Store) ImportLocks(locks map[string]LockInfo) {
 	}
 	s.maybeGCLocked()
 	s.mu.Unlock()
-	s.durCommit(recs...)
+	return s.durAppend(recs...)
 }
 
 // installLockLocked applies one lock state with the ImportLocks gate (a

@@ -53,7 +53,7 @@ var flaggedMutexes = map[string]map[string]map[string]bool{
 	},
 	"kvstore": {
 		"Store":      {"mu": true},
-		"Server":     {"viewMu": true},
+		"Server":     {"viewMu": true, "suspectMu": true},
 		"sessionMgr": {"mu": true},
 		// Cluster.mu is deliberately absent: it is the management-plane
 		// topology gate, documented to be held (exclusively during

@@ -35,8 +35,8 @@ type badArray struct { // want `generator would reject it: .*fixed-size arrays a
 }
 
 //ermi:codec
-type badForeign struct { // want `generator would reject it: .*foreign type time\.Time is not supported`
-	When time.Time
+type badForeign struct { // want `generator would reject it: .*foreign type time\.Location is not supported`
+	Where time.Location
 }
 
 // stale resolves fine but the generated methods are missing: the marker

@@ -232,7 +232,7 @@ cat BENCH_overload.json
 # one hot key while a writer updates it, reporting the writer's ack latency
 # (every Put must push 16 invalidations and collect the acks before its own
 # ack; fixed iteration count for a stable percentile sample).
-KV=$(go test -run '^$' -bench '^BenchmarkClusterR[12]' -benchtime "${KV_BENCHTIME:-1s}" ./internal/kvstore/)
+KV=$(go test -run '^$' -bench '^BenchmarkClusterR[12](Put|Get|Lock)$' -benchtime "${KV_BENCHTIME:-1s}" ./internal/kvstore/)
 printf '%s\n' "$KV"
 DUR=$(go test -run '^$' -bench '^BenchmarkStorePut(NoWAL|WALSync|WALGroup)$' -benchtime "${KV_BENCHTIME:-1s}" ./internal/kvstore/)
 printf '%s\n' "$DUR"
@@ -242,8 +242,24 @@ STORM=$(go test -run '^$' -bench '^BenchmarkSessionInvalidationStorm$' -benchtim
 printf '%s\n' "$STORM"
 BLIP=$(go test -run '^$' -bench '^BenchmarkClusterFailoverBlip$' -benchtime 1x ./internal/kvstore/)
 printf '%s\n' "$BLIP"
+# The durable R=2 session put (group-committed WALs, a lease held on the
+# key) is the write path a pool's shared state pays; six runs, median kept.
+R2DUR=$(go test -run '^$' -bench '^BenchmarkClusterR2PutDurable$' -benchtime "${R2DUR_BENCHTIME:-2000x}" -count 6 ./internal/kvstore/)
+printf '%s\n' "$R2DUR"
 
-{ printf '%s\n' "$KV"; printf '%s\n' "$DUR"; printf '%s\n' "$SESS"; printf '%s\n' "$STORM"; printf '%s\n' "$BLIP"; } | awk -v gen="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+{ printf '%s\n' "$KV"; printf '%s\n' "$DUR"; printf '%s\n' "$SESS"; printf '%s\n' "$STORM"; printf '%s\n' "$BLIP"; printf '%s\n' "$R2DUR"; } | awk -v gen="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+  function median(a, n,    i, j, t) {
+    for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+    return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2
+  }
+  /^BenchmarkClusterR2PutDurable/ {
+    nd++
+    for (i = 2; i <= NF; i++) {
+      if ($i == "ns/op")  dns[nd] = $(i-1)
+      if ($i == "p50-us") dp50[nd] = $(i-1)
+    }
+    next
+  }
   /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     for (i = 2; i <= NF; i++) {
@@ -284,7 +300,8 @@ printf '%s\n' "$BLIP"
     printf "    \"cached_speedup_x\": %.1f,\n", un / ca
     printf "    \"invalidation_storm_put\": {\"ns_per_op\": %s, \"p50_us\": %s, \"p99_us\": %s}\n", ns[st], p50[st], p99[st]
     printf "  },\n"
-    printf "  \"failover\": {\"blip_ms\": %s, \"failed_ops\": %s, \"acked_ops\": %s}\n", blip, failedop, ackedop
+    printf "  \"failover\": {\"blip_ms\": %s, \"failed_ops\": %s, \"acked_ops\": %s},\n", blip, failedop, ackedop
+    printf "  \"r2_put_durable\": {\"workload\": \"sequential put through a ClusterSession holding the key lease, 3-node R=2 cluster on group-committed WALs (BenchmarkClusterR2PutDurable)\", \"runs\": %d, \"median_ns_per_op\": %.0f, \"median_p50_us\": %.0f}\n", nd, median(dns, nd), median(dp50, nd)
     printf "}\n"
   }
 ' > BENCH_kvstore.json
